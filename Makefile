@@ -79,8 +79,10 @@ check:
 # Nightly variant: long randomized stress (60 s per stress test) and
 # repeated -race runs across the concurrency-sensitive packages, plus
 # the whole tree with runtime invariants forced on via the eewa_check
-# build tag, plus a coverage-guided fuzz of the event queue against its
-# sorted-slice oracle (the same interpreter as TestQueueModelRandomized).
+# build tag, plus a coverage-guided fuzz of the one-event-per-id heap
+# against its sorted-slice oracle over interleaved ids, same-instant
+# schedules and re-scheduled popped ids (the same interpreter as
+# TestQueueModelRandomized).
 check-long:
 	EEWA_STRESS_SECONDS=60 $(GO) test -race -count=2 -timeout 30m \
 		./internal/check/ ./internal/deque/ ./internal/event/ ./internal/policy/ ./internal/rt/ ./internal/serve/

@@ -1,36 +1,21 @@
-// Package event implements the discrete-event simulation engine that
-// underlies the EEWA multi-core machine model.
+// Package event is the simulator's event queue. It answers one
+// question: which core acts next.
 //
-// The engine is a calendar queue organized as *time buckets*: events
-// due at the same simulated instant share a bucket, and the buckets
-// are ordered by a binary heap on (time, creation seq). Popping a
-// bucket advances the simulated clock to its timestamp and invokes its
-// events in scheduling order, so the heap is touched once per distinct
-// timestamp rather than once per event — the dominant pattern in the
-// scheduler (a batch start schedules one wake-up per core at the same
-// instant, and task completions cluster on quantized probe/steal
-// costs). Same-time ordering is scheduling order (FIFO), which keeps
-// simulation runs fully deterministic — a property every scheduler
-// test in this repository relies on.
+// In the sim engine a core either wakes at batch start or completes the
+// one task it is running, so a core never has more than one event
+// pending. The queue makes that its contract: it is a fixed-capacity
+// min-heap over ids 0..n-1, and each id has at most one pending event.
+// Events pop in (time, scheduling order), so events due at the same
+// instant pop first-in first-out — including ones scheduled at that
+// instant while it is being drained. That keeps simulation runs fully
+// deterministic, a property every scheduler test in this repository
+// relies on.
 //
-// Three scheduling paths exist, from coldest to hottest:
+// Heap entries are plain values (time, sequence number, id): no
+// callback, no pointer, no allocation after New.
 //
-//   - At returns an *Event handle that can be cancelled, at the cost
-//     of one handle allocation per event;
-//   - AtFast stores just the callback, with no handle and no per-event
-//     allocation, for callers that never cancel;
-//   - AtIndex stores a bare int32 payload dispatched to the callback
-//     registered with SetIndexFn. Buckets hold these as plain integers
-//     — no pointer is written per event, so the hottest path (the sim
-//     engine's per-task completion events, keyed by core index) incurs
-//     neither allocation nor GC write-barrier traffic.
-//
-// The buckets themselves live in a dense arena and the heap orders
-// int32 arena indices, so heap maintenance is pointer-free too: a GC
-// write barrier never fires on the schedule/drain path.
-//
-// Time is a float64 measured in seconds. The engine itself attaches no
-// unit semantics; the machine model defines them.
+// Time is a float64 measured in seconds. The queue attaches no unit
+// semantics; the machine model defines them.
 package event
 
 import (
@@ -38,531 +23,115 @@ import (
 	"math"
 )
 
-// Event is the cancellable handle of a scheduled callback. The zero
-// value is not useful; obtain events from Queue.At. An Event may be
-// cancelled until it fires.
-type Event struct {
-	time     float64
-	canceled bool
-	fired    bool
+// entry is one pending event. seq is the global scheduling order, the
+// tie-break that makes same-time events FIFO.
+type entry struct {
+	t   float64
+	seq uint64
+	id  int32
 }
 
-// Time returns the simulated time at which the event is due.
-func (e *Event) Time() float64 { return e.time }
-
-// Canceled reports whether the event has been cancelled.
-func (e *Event) Canceled() bool { return e.canceled }
-
-// evBox holds a callback-style event's pointers outside the buckets,
-// so bucket slots stay pointer-free. ev is nil for AtFast events.
-type evBox struct {
-	fn func()
-	ev *Event
+func (a entry) less(b entry) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	return a.seq < b.seq
 }
 
-// bucket holds events due at one simulated instant, in scheduling
-// order. A slot s ≥ 0 is an indexed event with payload s (dispatched
-// to the queue's index fn); s < 0 refers to the boxed event at
-// q.evs[^s]. next is the drain cursor: slots[:next] have been executed
-// or skipped as cancelled.
-type bucket struct {
-	time  float64
-	seq   uint64 // creation order; heap tie-break = FIFO across same-time buckets
-	next  int
-	slots []int32
-}
-
-// compactMinCancelled is the floor below which Cancel never triggers a
-// compaction — tiny queues are cheaper to drain lazily than to rebuild.
-const compactMinCancelled = 64
-
-// Queue is a discrete-event queue with its own simulated clock.
-// A Queue is not safe for concurrent use: the simulator is
-// single-threaded by design (determinism beats parallel speed for a
-// scheduler model of this size).
+// Queue is a discrete-event queue with its own simulated clock. A Queue
+// is not safe for concurrent use: the simulator is single-threaded by
+// design (determinism beats parallel speed for a scheduler model of
+// this size).
 type Queue struct {
 	now     float64
-	nextSeq uint64
-	fired   uint64
-
-	// arena owns every bucket; heap is a min-heap of arena indices on
-	// (time, seq), and free recycles exhausted buckets' indices. last
-	// caches the most recently targeted bucket (-1 = none): the
-	// engine's batch-start fan-out and same-time completion cascades
-	// append straight into it. When the cache misses, a *new* bucket is
-	// opened even if an older same-time bucket exists — once last moves
-	// off a bucket nothing can append to it again, so every event in a
-	// lower-seq bucket was scheduled before every event in a higher-seq
-	// one, and the (time, seq) heap order yields global per-timestamp
-	// FIFO without any timestamp index on the schedule path.
-	arena []bucket
-	heap  []int32
-	last  int32
-	free  []int32
-
-	// evs is the box table for At/AtFast events; evFree recycles its
-	// entries. ixFn dispatches AtIndex payloads.
-	evs    []evBox
-	evFree []int32
-	ixFn   func(int32)
-
-	// live counts pending (non-cancelled, non-fired) events; cancelled
-	// counts lazily-deleted events still buried in buckets. Their sum is
-	// the physical slot population the compaction threshold is measured
-	// against.
-	live      int
-	cancelled int
-
-	// draining guards against compacting buckets mid-drain (Cancel may
-	// be called from inside a callback); the compaction is deferred to
-	// the end of the Step/StepBatch that observed it.
-	draining    bool
-	needCompact bool
+	seq     uint64
+	heap    []entry
+	pending []bool // pending[id]: id has an event in heap
 }
 
-// New returns an empty queue with the clock at zero.
-func New() *Queue {
-	return &Queue{last: -1}
+// New returns an empty queue for ids 0..n-1 with the clock at zero.
+func New(n int) *Queue {
+	if n < 0 || n > math.MaxInt32 {
+		panic(fmt.Sprintf("event: capacity %d out of range", n))
+	}
+	return &Queue{heap: make([]entry, 0, n), pending: make([]bool, n)}
 }
 
-// Now returns the current simulated time in seconds.
+// Now returns the current simulated time in seconds: the time of the
+// last popped event.
 func (q *Queue) Now() float64 { return q.now }
 
-// Len returns the number of pending events: scheduled, not yet fired
-// and not cancelled. Cancelled events are lazily deleted and may still
-// occupy internal storage, but they are never counted here.
-func (q *Queue) Len() int { return q.live }
+// Len returns the number of pending events.
+func (q *Queue) Len() int { return len(q.heap) }
 
-// Empty reports whether no pending events remain.
-func (q *Queue) Empty() bool { return q.live == 0 }
-
-// Fired returns the number of events executed so far; useful for
-// overhead accounting and loop-bound assertions in tests.
-func (q *Queue) Fired() uint64 { return q.fired }
-
-// checkTime validates a schedule request against the clock.
-func (q *Queue) checkTime(t float64) {
+// Schedule makes id due at absolute simulated time t. Scheduling in
+// the past, at a non-finite time, for an id out of range or for an id
+// that is already pending is a programming error, so it panics.
+func (q *Queue) Schedule(t float64, id int32) {
+	if id < 0 || int(id) >= len(q.pending) {
+		panic(fmt.Sprintf("event: id %d out of range [0,%d)", id, len(q.pending)))
+	}
+	if q.pending[id] {
+		panic(fmt.Sprintf("event: id %d already pending", id))
+	}
 	if t < q.now {
 		panic(fmt.Sprintf("event: scheduling at %g before now %g", t, q.now))
 	}
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		panic(fmt.Sprintf("event: non-finite time %g", t))
 	}
-}
+	q.pending[id] = true
+	e := entry{t: t, seq: q.seq, id: id}
+	q.seq++
 
-// bucketFor returns the arena index of a bucket accepting appends for
-// timestamp t: the cached last bucket when it matches, a fresh (or
-// recycled) one otherwise. The returned index is stable; pointers into
-// the arena are not (it may grow on the next bucketFor).
-func (q *Queue) bucketFor(t float64) int32 {
-	if q.last >= 0 && q.arena[q.last].time == t {
-		return q.last
-	}
-	var bi int32
-	if n := len(q.free); n > 0 {
-		bi = q.free[n-1]
-		q.free = q.free[:n-1]
-		b := &q.arena[bi]
-		b.time, b.next = t, 0
-		b.slots = b.slots[:0]
-		b.seq = q.nextSeq
-	} else {
-		if len(q.arena) >= math.MaxInt32 {
-			panic("event: bucket arena exceeds int32 index space")
-		}
-		bi = int32(len(q.arena))
-		q.arena = append(q.arena, bucket{time: t, seq: q.nextSeq})
-	}
-	q.nextSeq++
-	q.pushBucket(bi)
-	q.last = bi
-	return bi
-}
-
-// box stores a callback event in the side table and returns its slot
-// encoding (^index, always negative).
-func (q *Queue) box(fn func(), ev *Event) int32 {
-	if fn == nil {
-		panic("event: nil callback")
-	}
-	var i int32
-	if n := len(q.evFree); n > 0 {
-		i = q.evFree[n-1]
-		q.evFree = q.evFree[:n-1]
-		q.evs[i] = evBox{fn: fn, ev: ev}
-	} else {
-		i = int32(len(q.evs))
-		q.evs = append(q.evs, evBox{fn: fn, ev: ev})
-	}
-	return ^i
-}
-
-// unbox removes and returns box i's contents, recycling the entry so
-// the captured closure is released as soon as the event fires or is
-// pruned.
-func (q *Queue) unbox(i int32) evBox {
-	b := q.evs[i]
-	q.evs[i] = evBox{}
-	q.evFree = append(q.evFree, i)
-	return b
-}
-
-// At schedules fn to run at absolute simulated time t and returns the
-// event handle. Scheduling in the past is a programming error in a
-// discrete-event model, so it panics.
-func (q *Queue) At(t float64, fn func()) *Event {
-	q.checkTime(t)
-	e := &Event{time: t}
-	s := q.box(fn, e)
-	bi := q.bucketFor(t)
-	b := &q.arena[bi]
-	b.slots = append(b.slots, s)
-	q.live++
-	return e
-}
-
-// AtFast schedules fn at absolute simulated time t without returning a
-// handle: the event cannot be cancelled, and nothing is allocated per
-// event beyond amortized table growth.
-func (q *Queue) AtFast(t float64, fn func()) {
-	q.checkTime(t)
-	s := q.box(fn, nil)
-	bi := q.bucketFor(t)
-	b := &q.arena[bi]
-	b.slots = append(b.slots, s)
-	q.live++
-}
-
-// SetIndexFn registers the dispatch function for AtIndex events. It
-// must be set before the first AtIndex call; events already scheduled
-// keep firing into the newly registered function, so re-registering
-// mid-run is almost certainly a bug.
-func (q *Queue) SetIndexFn(fn func(int32)) {
-	if fn == nil {
-		panic("event: nil index dispatch")
-	}
-	q.ixFn = fn
-}
-
-// AtIndex schedules the payload v (≥ 0) to be dispatched to the
-// SetIndexFn callback at absolute simulated time t. The event cannot
-// be cancelled, and the bucket stores v as a bare integer: no
-// allocation and no pointer write per event. This is the sim engine's
-// per-task hot path — completions are keyed by core index.
-func (q *Queue) AtIndex(t float64, v int32) {
-	q.checkTime(t)
-	if v < 0 {
-		panic(fmt.Sprintf("event: negative index payload %d", v))
-	}
-	if q.ixFn == nil {
-		panic("event: AtIndex before SetIndexFn")
-	}
-	bi := q.bucketFor(t)
-	b := &q.arena[bi]
-	b.slots = append(b.slots, v)
-	q.live++
-}
-
-// After schedules fn to run d seconds from now.
-func (q *Queue) After(d float64, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("event: negative delay %g", d))
-	}
-	return q.At(q.now+d, fn)
-}
-
-// Cancel marks e as cancelled. Cancelling an already-fired or
-// already-cancelled event is a no-op, which lets callers cancel
-// defensively. Cancelled events are deleted lazily; when they come to
-// outnumber the pending ones (and exceed a small floor), the queue
-// compacts its buckets so abandoned callbacks do not stay pinned until
-// their original due time.
-func (q *Queue) Cancel(e *Event) {
-	if e == nil || e.canceled || e.fired {
-		return
-	}
-	e.canceled = true
-	q.live--
-	q.cancelled++
-	if q.cancelled >= compactMinCancelled && q.cancelled > q.live {
-		if q.draining {
-			q.needCompact = true
-		} else {
-			q.compact()
-		}
-	}
-}
-
-// canceledSlot reports whether slot s refers to a cancelled event.
-func (q *Queue) canceledSlot(s int32) bool {
-	if s >= 0 {
-		return false
-	}
-	ev := q.evs[^s].ev
-	return ev != nil && ev.canceled
-}
-
-// compact rebuilds every bucket without its cancelled slots, dropping
-// buckets that become empty, so the closures captured by cancelled
-// events are released immediately rather than at their due time.
-func (q *Queue) compact() {
-	q.needCompact = false
-	kept := q.heap[:0]
-	for _, bi := range q.heap {
-		b := &q.arena[bi]
-		w := 0
-		for _, s := range b.slots[b.next:] {
-			if q.canceledSlot(s) {
-				q.unbox(^s)
-				q.cancelled--
-				continue
-			}
-			b.slots[w] = s
-			w++
-		}
-		b.next = 0
-		b.slots = b.slots[:w]
-		if w == 0 {
-			if q.last == bi {
-				q.last = -1
-			}
-			q.recycle(bi)
-			continue
-		}
-		kept = append(kept, bi)
-	}
-	q.heap = kept
-	for i := len(q.heap)/2 - 1; i >= 0; i-- {
-		q.siftDown(i)
-	}
-}
-
-// recycle returns a popped bucket's arena index to the freelist. Slots
-// are bare integers — box entries are released at fire/skip time — so
-// no zeroing is needed.
-func (q *Queue) recycle(bi int32) {
-	b := &q.arena[bi]
-	b.slots = b.slots[:0]
-	b.next = 0
-	q.free = append(q.free, bi)
-}
-
-// popHead removes the exhausted head bucket.
-func (q *Queue) popHead() {
-	bi := q.heap[0]
-	n := len(q.heap) - 1
-	q.heap[0] = q.heap[n]
-	q.heap = q.heap[:n]
-	if n > 0 {
-		q.siftDown(0)
-	}
-	if q.last == bi {
-		q.last = -1
-	}
-	q.recycle(bi)
-}
-
-// headBucket returns the arena index of the bucket holding the next
-// pending event, pruning cancelled slots and exhausted buckets as a
-// side effect, or -1 when no events remain.
-func (q *Queue) headBucket() int32 {
-	for len(q.heap) > 0 {
-		bi := q.heap[0]
-		b := &q.arena[bi]
-		for b.next < len(b.slots) {
-			s := b.slots[b.next]
-			if q.canceledSlot(s) {
-				q.unbox(^s)
-				b.next++
-				q.cancelled--
-				continue
-			}
-			return bi
-		}
-		q.popHead()
-	}
-	return -1
-}
-
-// fire executes slot s (already known non-cancelled), updating the
-// fired/live counters.
-func (q *Queue) fire(s int32) {
-	q.live--
-	q.fired++
-	if s >= 0 {
-		q.ixFn(s)
-		return
-	}
-	box := q.unbox(^s)
-	if box.ev != nil {
-		box.ev.fired = true
-	}
-	box.fn()
-}
-
-// Step pops and runs the next pending event, advancing the clock.
-// It returns false when no events remain. Cancelled events are skipped
-// silently (lazy deletion).
-func (q *Queue) Step() bool {
-	bi := q.headBucket()
-	if bi < 0 {
-		return false
-	}
-	b := &q.arena[bi]
-	s := b.slots[b.next]
-	b.next++
-	q.now = b.time
-	q.draining = true
-	q.fire(s)
-	q.draining = false
-	if q.needCompact {
-		q.compact()
-	}
-	return true
-}
-
-// StepBatch advances the clock to the next pending timestamp and runs
-// *every* event due at that instant — including events the callbacks
-// schedule at the same instant while the batch drains — touching the
-// heap once per bucket (usually once per distinct timestamp). It
-// returns the number of events executed, 0 when the queue is empty.
-func (q *Queue) StepBatch() int {
-	bi := q.headBucket()
-	if bi < 0 {
-		return 0
-	}
-	t := q.arena[bi].time
-	q.now = t
-	n := 0
-	q.draining = true
-	for {
-		// Appends during the drain (callbacks scheduling at q.now) land
-		// either directly in this bucket (when it is still the cached
-		// last bucket) — picked up by the inner loop — or in a fresh
-		// same-time bucket the outer loop reaches next. The arena may
-		// grow inside fire, so the bucket pointer is re-derived each
-		// iteration rather than held across callbacks.
-		for {
-			b := &q.arena[bi]
-			if b.next >= len(b.slots) {
-				break
-			}
-			s := b.slots[b.next]
-			b.next++
-			if q.canceledSlot(s) {
-				q.unbox(^s)
-				q.cancelled--
-				continue
-			}
-			n++
-			q.fire(s)
-		}
-		q.popHead()
-		bi = q.headBucket()
-		if bi < 0 || q.arena[bi].time != t {
-			break
-		}
-	}
-	q.draining = false
-	if q.needCompact {
-		q.compact()
-	}
-	return n
-}
-
-// Run executes events until the queue is empty, draining one timestamp
-// per heap touch.
-func (q *Queue) Run() {
-	for q.StepBatch() > 0 {
-	}
-}
-
-// RunUntil executes events with time ≤ deadline, advancing the clock to
-// exactly deadline afterwards (even if the last event fired earlier).
-// It returns the number of events executed.
-func (q *Queue) RunUntil(deadline float64) int {
-	if deadline < q.now {
-		panic(fmt.Sprintf("event: RunUntil(%g) before now %g", deadline, q.now))
-	}
-	n := 0
-	for {
-		bi := q.headBucket()
-		if bi < 0 || q.arena[bi].time > deadline {
-			break
-		}
-		n += q.StepBatch()
-	}
-	q.now = deadline
-	return n
-}
-
-// NextTime returns the timestamp of the next pending event and true, or
-// 0 and false when the queue is empty.
-func (q *Queue) NextTime() (float64, bool) {
-	bi := q.headBucket()
-	if bi < 0 {
-		return 0, false
-	}
-	return q.arena[bi].time, true
-}
-
-// slotCount returns the physical slot population across all buckets —
-// pending plus lazily-deleted events. Tests use it to pin the
-// cancellation-retention bound.
-func (q *Queue) slotCount() int {
-	n := 0
-	for _, bi := range q.heap {
-		b := &q.arena[bi]
-		n += len(b.slots) - b.next
-	}
-	return n
-}
-
-// The heap orders arena indices by (time, seq): seq breaks same-time
-// ties so buckets pop in creation order, which is insertion order of
-// their events (see the Queue.last invariant). The sift routines are
-// concrete (no container/heap interface dispatch) and swap int32
-// indices, not pointers — heap maintenance never triggers a GC write
-// barrier.
-
-func (q *Queue) heapLess(a, b int32) bool {
-	x, y := &q.arena[a], &q.arena[b]
-	if x.time != y.time {
-		return x.time < y.time
-	}
-	return x.seq < y.seq
-}
-
-func (q *Queue) pushBucket(bi int32) {
-	q.heap = append(q.heap, bi)
-	i := len(q.heap) - 1
-	h := q.heap
+	// Sift up: move parents down into the hole until e fits.
+	h := append(q.heap, e)
+	i := len(h) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.heapLess(h[i], h[parent]) {
+		p := (i - 1) / 2
+		if !e.less(h[p]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
+		h[i] = h[p]
+		i = p
 	}
+	h[i] = e
+	q.heap = h
 }
 
-func (q *Queue) siftDown(i int) {
+// Pop removes the earliest pending event, advances the clock to its
+// time and returns its id. It returns false when nothing is pending.
+func (q *Queue) Pop() (int32, bool) {
 	h := q.heap
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		min := l
-		if r := l + 1; r < n && q.heapLess(h[r], h[l]) {
-			min = r
-		}
-		if !q.heapLess(h[min], h[i]) {
-			return
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
+	n := len(h) - 1
+	if n < 0 {
+		return -1, false
 	}
+	top := h[0]
+	last := h[n]
+	h = h[:n]
+
+	// Sift down: move the smaller child up into the hole until last fits.
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].less(h[c]) {
+			c = r
+		}
+		if !h[c].less(last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	q.heap = h
+	q.pending[top.id] = false
+	q.now = top.t
+	return top.id, true
 }

@@ -5,445 +5,111 @@ import (
 	"testing"
 )
 
-// ---------------------------------------------------------------------------
-// Contract tests for the pieces ISSUE 9 fixed: Len/Empty semantics,
-// cancelled-event retention, and the batched drain path.
-// ---------------------------------------------------------------------------
+// modelIDs is the model's id space: small, so schedules often find
+// their id already pending and must pick another.
+const modelIDs = 6
 
-func TestLenReportsPendingNotHeapSize(t *testing.T) {
-	q := New()
-	if q.Len() != 0 || !q.Empty() {
-		t.Fatalf("fresh queue: Len=%d Empty=%v, want 0,true", q.Len(), q.Empty())
-	}
-	e1 := q.At(1, func() {})
-	q.At(1, func() {})
-	q.At(2, func() {})
-	if q.Len() != 3 || q.Empty() {
-		t.Fatalf("after 3 At: Len=%d Empty=%v, want 3,false", q.Len(), q.Empty())
-	}
-	q.Cancel(e1)
-	if q.Len() != 2 {
-		t.Fatalf("after Cancel: Len=%d, want 2 (cancelled events are not pending)", q.Len())
-	}
-	q.Step()
-	if q.Len() != 1 {
-		t.Fatalf("after Step: Len=%d, want 1", q.Len())
-	}
-	q.Run()
-	if q.Len() != 0 || !q.Empty() {
-		t.Fatalf("after Run: Len=%d Empty=%v, want 0,true", q.Len(), q.Empty())
-	}
-}
-
-// Scheduling and cancelling N far-future events must not hold N live
-// slots: once cancelled events outnumber pending ones the queue
-// compacts, releasing the captured closures long before their due time.
-func TestCancelledEventsAreNotRetained(t *testing.T) {
-	const n = 4096
-	q := New()
-	q.At(1e9, func() {}) // one pending survivor keeps the queue non-empty
-	events := make([]*Event, n)
-	for i := range events {
-		events[i] = q.At(1e9+float64(i), func() {})
-	}
-	for _, e := range events {
-		q.Cancel(e)
-	}
-	if got := q.slotCount(); got > compactMinCancelled+1 {
-		t.Fatalf("after cancelling %d events, %d slots retained; want ≤ %d",
-			n, got, compactMinCancelled+1)
-	}
-	if q.Len() != 1 {
-		t.Fatalf("Len=%d, want 1", q.Len())
-	}
-	q.Run()
-	if q.Fired() != 1 {
-		t.Fatalf("Fired=%d, want 1", q.Fired())
-	}
-}
-
-func TestCancelDuringDrainDefersCompaction(t *testing.T) {
-	q := New()
-	n := compactMinCancelled * 2
-	events := make([]*Event, n)
-	for i := range events {
-		events[i] = q.At(100+float64(i), func() {})
-	}
-	// The triggering Cancels happen inside a firing callback, where
-	// compaction must be deferred (the head bucket is mid-drain).
-	q.At(1, func() {
-		for _, e := range events {
-			q.Cancel(e)
-		}
-	})
-	q.Run()
-	if q.Fired() != 1 {
-		t.Fatalf("Fired=%d, want 1", q.Fired())
-	}
-	if got := q.slotCount(); got != 0 {
-		t.Fatalf("%d slots retained after Run, want 0", got)
-	}
-}
-
-func TestStepBatchDrainsOneTimestamp(t *testing.T) {
-	q := New()
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		q.At(1, func() { order = append(order, i) })
-	}
-	q.At(2, func() { order = append(order, 99) })
-	if n := q.StepBatch(); n != 5 {
-		t.Fatalf("StepBatch = %d, want 5", n)
-	}
-	if q.Now() != 1 {
-		t.Fatalf("Now = %g, want 1", q.Now())
-	}
-	if len(order) != 5 {
-		t.Fatalf("fired %v, want exactly the five t=1 events", order)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("batch fired out of FIFO order: %v", order)
-		}
-	}
-	if n := q.StepBatch(); n != 1 {
-		t.Fatalf("second StepBatch = %d, want 1", n)
-	}
-	if n := q.StepBatch(); n != 0 {
-		t.Fatalf("StepBatch on empty queue = %d, want 0", n)
-	}
-}
-
-// Events scheduled at the current instant from inside a draining batch
-// must run in the same batch — the engine relies on this for same-time
-// completion → coreFree cascades.
-func TestStepBatchIncludesSameTimeAppends(t *testing.T) {
-	q := New()
-	var order []string
-	q.At(1, func() {
-		order = append(order, "a")
-		q.At(1, func() { order = append(order, "c") })
-		q.AtFast(1, func() { order = append(order, "d") })
-	})
-	q.At(1, func() { order = append(order, "b") })
-	n := q.StepBatch()
-	if n != 4 {
-		t.Fatalf("StepBatch = %d, want 4 (same-time appends join the batch)", n)
-	}
-	want := []string{"a", "b", "c", "d"}
-	for i, w := range want {
-		if i >= len(order) || order[i] != w {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestAtFast(t *testing.T) {
-	q := New()
-	var order []int
-	q.AtFast(2, func() { order = append(order, 2) })
-	q.AtFast(1, func() { order = append(order, 1) })
-	q.At(1.5, func() { order = append(order, 15) })
-	if q.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", q.Len())
-	}
-	q.Run()
-	want := []int{1, 15, 2}
-	for i, w := range want {
-		if i >= len(order) || order[i] != w {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-	if q.Fired() != 3 {
-		t.Fatalf("Fired = %d, want 3", q.Fired())
-	}
-	mustPanic(t, "AtFast past", func() { q.AtFast(0, func() {}) })
-	mustPanic(t, "AtFast nil fn", func() { q.AtFast(10, nil) })
-}
-
-// All three scheduling paths share per-timestamp FIFO: At, AtFast and
-// AtIndex events interleaved at one instant fire in scheduling order.
-func TestAtIndexInterleavesFIFO(t *testing.T) {
-	q := New()
-	mustPanic(t, "AtIndex before SetIndexFn", func() { q.AtIndex(1, 0) })
-	var order []int
-	q.SetIndexFn(func(v int32) { order = append(order, int(v)) })
-	q.At(1, func() { order = append(order, 100) })
-	q.AtIndex(1, 0)
-	q.AtFast(1, func() { order = append(order, 101) })
-	q.AtIndex(1, 1)
-	q.AtIndex(2, 2)
-	if q.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", q.Len())
-	}
-	if n := q.StepBatch(); n != 4 {
-		t.Fatalf("StepBatch = %d, want 4", n)
-	}
-	q.Run()
-	want := []int{100, 0, 101, 1, 2}
-	for i, w := range want {
-		if i >= len(order) || order[i] != w {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-	mustPanic(t, "AtIndex negative payload", func() { q.AtIndex(10, -1) })
-	mustPanic(t, "AtIndex past", func() { q.AtIndex(q.Now()-1, 0) })
-	mustPanic(t, "SetIndexFn nil", func() { q.SetIndexFn(nil) })
-}
-
-// ---------------------------------------------------------------------------
-// Model-based testing: an op interpreter drives the real queue and a
-// sorted-slice oracle in lockstep, checking fire order, Len/Empty,
-// Now, and NextTime after every operation. The same interpreter backs
-// the randomized test here and FuzzQueue.
-// ---------------------------------------------------------------------------
-
-// oracleEv mirrors one scheduled event. Pending events live in
-// insertion order; selection is (min time, earliest insertion), which
-// is exactly the queue's (time, FIFO-within-time) contract.
+// oracleEv mirrors one pending event.
 type oracleEv struct {
-	id       int
-	time     float64
-	fast     bool
-	canceled bool
+	id int32
+	t  float64
 }
 
+// model drives a Queue and a sorted-slice oracle in lockstep. The
+// oracle keeps pending events sorted by time, a new event going after
+// every event with the same or an earlier time — exactly the queue's
+// (time, scheduling order) contract.
 type model struct {
 	t      *testing.T
 	q      *Queue
 	oracle []oracleEv
-	hs     map[int]*Event
-	fired  []int // ids observed from real callbacks, in fire order
 	now    float64
-	nextID int
 }
 
 func newModel(t *testing.T) *model {
-	m := &model{t: t, q: New(), hs: map[int]*Event{}}
-	// Indexed events carry their oracle id as the payload.
-	m.q.SetIndexFn(func(v int32) { m.fired = append(m.fired, int(v)) })
-	return m
+	return &model{t: t, q: New(modelIDs)}
 }
 
-func (m *model) schedule(tm float64, fast bool) {
-	id := m.nextID
-	m.nextID++
-	fn := func() { m.fired = append(m.fired, id) }
-	if fast {
-		m.q.AtFast(tm, fn)
-	} else {
-		m.hs[id] = m.q.At(tm, fn)
-	}
-	m.oracle = append(m.oracle, oracleEv{id: id, time: tm, fast: fast})
-}
-
-// scheduleIndexed schedules through the pointer-free AtIndex path;
-// like AtFast events, indexed events cannot be cancelled.
-func (m *model) scheduleIndexed(tm float64) {
-	id := m.nextID
-	m.nextID++
-	m.q.AtIndex(tm, int32(id))
-	m.oracle = append(m.oracle, oracleEv{id: id, time: tm, fast: true})
-}
-
-// cancelNth cancels the n-th cancellable pending oracle event (mod
-// count); no-op when none exist.
-func (m *model) cancelNth(n int) {
-	var idx []int
-	for i, e := range m.oracle {
-		if !e.fast && !e.canceled {
-			idx = append(idx, i)
+func (m *model) pending(id int32) bool {
+	for _, e := range m.oracle {
+		if e.id == id {
+			return true
 		}
 	}
-	if len(idx) == 0 {
-		return
-	}
-	i := idx[n%len(idx)]
-	m.oracle[i].canceled = true
-	m.q.Cancel(m.hs[m.oracle[i].id])
-	delete(m.hs, m.oracle[i].id)
+	return false
 }
 
-// popExpected removes and returns the oracle's next event, or -1.
-func (m *model) popExpected() int {
-	best := -1
-	for i, e := range m.oracle {
-		if e.canceled {
+// schedule makes the first free id at or after arg (mod modelIDs) due
+// dt after now; a no-op when every id is pending.
+func (m *model) schedule(arg byte, dt float64) {
+	for k := 0; k < modelIDs; k++ {
+		id := int32((int(arg) + k) % modelIDs)
+		if m.pending(id) {
 			continue
 		}
-		if best < 0 || e.time < m.oracle[best].time {
-			best = i
+		tm := m.now + dt
+		m.q.Schedule(tm, id)
+		i := len(m.oracle)
+		for i > 0 && m.oracle[i-1].t > tm {
+			i--
 		}
+		m.oracle = append(m.oracle, oracleEv{})
+		copy(m.oracle[i+1:], m.oracle[i:])
+		m.oracle[i] = oracleEv{id: id, t: tm}
+		return
 	}
-	if best < 0 {
-		return -1
-	}
-	ev := m.oracle[best]
-	m.oracle = append(m.oracle[:best], m.oracle[best+1:]...)
-	m.now = ev.time
-	return ev.id
 }
 
-func (m *model) dropCancelled() {
-	w := 0
-	for _, e := range m.oracle {
-		if !e.canceled {
-			m.oracle[w] = e
-			w++
-		}
-	}
-	m.oracle = m.oracle[:w]
-}
-
-func (m *model) step() {
-	want := m.popExpected()
-	got := m.q.Step()
-	if want < 0 {
-		if got {
-			m.t.Fatalf("Step fired on an (oracle-)empty queue")
+func (m *model) pop() {
+	id, ok := m.q.Pop()
+	if len(m.oracle) == 0 {
+		if ok {
+			m.t.Fatalf("Pop = %d on an (oracle-)empty queue", id)
 		}
 		return
 	}
-	if !got {
-		m.t.Fatalf("Step returned false with %d pending events", m.q.Len()+1)
-	}
-	if last := m.fired[len(m.fired)-1]; last != want {
-		m.t.Fatalf("Step fired id %d, oracle expected %d", last, want)
-	}
-}
-
-func (m *model) stepBatch() {
-	before := len(m.fired)
-	n := m.q.StepBatch()
-	var want []int
-	if first := m.popExpected(); first >= 0 {
-		want = append(want, first)
-		for {
-			best := -1
-			for i, e := range m.oracle {
-				if e.canceled {
-					continue
-				}
-				if e.time == m.now && (best < 0) {
-					best = i
-					break
-				}
-			}
-			if best < 0 {
-				break
-			}
-			want = append(want, m.oracle[best].id)
-			m.oracle = append(m.oracle[:best], m.oracle[best+1:]...)
-		}
-	}
-	if n != len(want) {
-		m.t.Fatalf("StepBatch = %d events, oracle expected %d", n, len(want))
-	}
-	got := m.fired[before:]
-	for i, w := range want {
-		if got[i] != w {
-			m.t.Fatalf("StepBatch order %v, oracle expected %v", got, want)
-		}
-	}
-}
-
-func (m *model) runUntil(deadline float64) {
-	before := len(m.fired)
-	n := m.q.RunUntil(deadline)
-	var want []int
-	for {
-		best := -1
-		for i, e := range m.oracle {
-			if e.canceled || e.time > deadline {
-				continue
-			}
-			if best < 0 || e.time < m.oracle[best].time {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		want = append(want, m.oracle[best].id)
-		m.oracle = append(m.oracle[:best], m.oracle[best+1:]...)
-	}
-	m.now = deadline
-	if n != len(want) {
-		m.t.Fatalf("RunUntil(%g) = %d events, oracle expected %d", deadline, n, len(want))
-	}
-	got := m.fired[before:]
-	for i, w := range want {
-		if got[i] != w {
-			m.t.Fatalf("RunUntil order %v, oracle expected %v", got, want)
-		}
+	want := m.oracle[0]
+	m.oracle = m.oracle[1:]
+	m.now = want.t
+	if !ok || id != want.id {
+		m.t.Fatalf("Pop = %d,%v; oracle expected id %d at %g", id, ok, want.id, want.t)
 	}
 }
 
 // verify checks every observable against the oracle.
 func (m *model) verify() {
-	m.dropCancelled()
 	if got, want := m.q.Len(), len(m.oracle); got != want {
 		m.t.Fatalf("Len = %d, oracle has %d pending", got, want)
-	}
-	if got, want := m.q.Empty(), len(m.oracle) == 0; got != want {
-		m.t.Fatalf("Empty = %v, oracle pending = %d", got, len(m.oracle))
 	}
 	if m.q.Now() != m.now {
 		m.t.Fatalf("Now = %g, oracle clock = %g", m.q.Now(), m.now)
 	}
-	best := -1
-	for i, e := range m.oracle {
-		if best < 0 || e.time < m.oracle[best].time {
-			best = i
-		}
-	}
-	tm, ok := m.q.NextTime()
-	if best < 0 {
-		if ok {
-			m.t.Fatalf("NextTime = %g,true on oracle-empty queue", tm)
-		}
-	} else if !ok || tm != m.oracle[best].time {
-		m.t.Fatalf("NextTime = %g,%v, oracle head = %g", tm, ok, m.oracle[best].time)
-	}
 }
 
 // applyOp interprets one fuzz/random operation. Times are drawn from a
-// small grid (multiples of 0.5 ahead of now) so duplicate timestamps —
-// the bucket machinery's whole point — occur constantly.
+// small grid (multiples of 0.5 ahead of now) and half the schedules
+// land exactly at now, so same-time FIFO across interleaved ids and
+// re-scheduling a just-popped id at the current instant occur
+// constantly.
 func (m *model) applyOp(op, arg byte) {
-	switch op % 8 {
+	switch op % 4 {
 	case 0:
-		m.schedule(m.now+float64(arg%8)*0.5, false)
+		m.schedule(arg, float64(arg/modelIDs%4)*0.5)
 	case 1:
-		m.schedule(m.now+float64(arg%8)*0.5, true)
-	case 2: // After: same grid, via the relative API
-		id := m.nextID
-		m.nextID++
-		d := float64(arg%8) * 0.5
-		m.hs[id] = m.q.After(d, func() { m.fired = append(m.fired, id) })
-		m.oracle = append(m.oracle, oracleEv{id: id, time: m.now + d})
-	case 3:
-		m.cancelNth(int(arg))
-	case 4:
-		m.step()
-	case 5:
-		m.stepBatch()
-	case 6:
-		m.runUntil(m.now + float64(arg%8)*0.5)
-	case 7:
-		m.scheduleIndexed(m.now + float64(arg%8)*0.5)
+		m.schedule(arg, 0)
+	default:
+		m.pop()
 	}
 	m.verify()
 }
 
 func (m *model) finish() {
-	for m.q.Len() > 0 {
-		m.step()
+	for len(m.oracle) > 0 {
+		m.pop()
 		m.verify()
 	}
-	if len(m.oracle) != 0 {
-		m.t.Fatalf("queue drained but oracle still holds %d events", len(m.oracle))
+	if id, ok := m.q.Pop(); ok {
+		m.t.Fatalf("oracle drained but the queue still popped %d", id)
 	}
 }
 

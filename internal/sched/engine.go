@@ -123,10 +123,10 @@ func newEngineObs(reg *obs.Registry, levels int) engineObs {
 // Locked oracle). The event loop is single-threaded, so per-operation
 // synchronization would buy nothing, and determinism is preserved.
 //
-// Nothing is allocated per task: completions are scheduled through
-// event.Queue.AtIndex as bare core indices (a core runs one task at a
-// time, so per-core running-task arrays carry what the completion
-// needs), placement runs through policy.IndexedPlacer over class ids,
+// Nothing is allocated per task: the event queue holds one pending
+// event per core, keyed by core index (a core runs one task at a time,
+// so per-core running-task arrays carry what the completion needs),
+// placement runs through policy.IndexedPlacer over class ids,
 // and the profiler is fed through cached profile.ClassRef handles. The
 // SoA slab, the rings and every per-core array are reused across
 // batches.
@@ -135,7 +135,7 @@ type engine struct {
 	m      *machine.Machine
 	q      *event.Queue
 	prof   *profile.Profiler
-	policy Policy
+	policy policy.Policy
 	params Params
 
 	// soa holds the current batch's task arrays; ratios[j] = F0/Fj.
@@ -149,7 +149,7 @@ type engine struct {
 	u     int
 
 	asn   *cgroup.Assignment
-	plan  Plan
+	plan  policy.Plan
 	steal *policy.StealOrder
 	// walkers[core] — the per-core victim iterators, rebound to the new
 	// steal order at each plan epoch so the acquire loop re-derives
@@ -170,10 +170,9 @@ type engine struct {
 	refCache   map[string]*profile.ClassRef
 
 	// Per-core running-task state, valid from acquire to completion (a
-	// core runs at most one task at a time). Completion and wake-up
-	// events carry only a core index through event.Queue.AtIndex:
-	// payload c < Cores means complete(c), payload Cores+c means
-	// coreFree(c).
+	// core runs at most one task at a time); runTask[c] is -1 while core
+	// c runs nothing. The queue holds at most one event per core: a
+	// wake-up (coreFree) while runTask[c] < 0, a completion otherwise.
 	runTask  []int32
 	runExec  []float64
 	runLead  []float64
@@ -199,7 +198,7 @@ type engine struct {
 // Run simulates workload w on machine cfg under policy p and returns
 // the full Result. It validates its inputs and is deterministic for a
 // given params.Seed.
-func Run(cfg machine.Config, w *task.Workload, p Policy, params Params) (*Result, error) {
+func Run(cfg machine.Config, w *task.Workload, p policy.Policy, params Params) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -211,7 +210,7 @@ func Run(cfg machine.Config, w *task.Workload, p Policy, params Params) (*Result
 	e := &engine{
 		cfg:    cfg,
 		m:      machine.New(cfg),
-		q:      event.New(),
+		q:      event.New(cfg.Cores),
 		prof:   profile.New(cfg.Freqs),
 		policy: p,
 		params: params,
@@ -233,18 +232,13 @@ func Run(cfg machine.Config, w *task.Workload, p Policy, params Params) (*Result
 	}
 	e.refCache = make(map[string]*profile.ClassRef)
 	e.runTask = make([]int32, cfg.Cores)
+	for c := range e.runTask {
+		e.runTask[c] = -1
+	}
 	e.runExec = make([]float64, cfg.Cores)
 	e.runLead = make([]float64, cfg.Cores)
 	e.runLevel = make([]int32, cfg.Cores)
-	e.q.SetIndexFn(func(v int32) {
-		if c := int(v); c < cfg.Cores {
-			e.complete(c)
-		} else {
-			e.coreFree(c - cfg.Cores)
-		}
-	})
-
-	env := &Env{Cfg: cfg, AdjusterCharge: params.AdjusterCharge}
+	env := &policy.Env{Cfg: cfg, AdjusterCharge: params.AdjusterCharge}
 	for bi := range w.Batches {
 		if err := e.runBatch(bi, &w.Batches[bi], env); err != nil {
 			return nil, err
@@ -273,7 +267,7 @@ func Run(cfg machine.Config, w *task.Workload, p Policy, params Params) (*Result
 }
 
 // runBatch plans, places and executes one batch.
-func (e *engine) runBatch(bi int, b *task.Batch, env *Env) error {
+func (e *engine) runBatch(bi int, b *task.Batch, env *policy.Env) error {
 	now := e.q.Now()
 
 	// Barrier: everyone parks while the plan is computed.
@@ -343,12 +337,22 @@ func (e *engine) runBatch(bi int, b *task.Batch, env *Env) error {
 		e.idleAt[c] = -1
 	}
 
-	// The fan-out lands in one event-queue bucket (every core wakes at
-	// the same instant), so the whole batch start costs one heap touch.
+	// Every core wakes at batch start; same-time events pop in
+	// scheduling order, so cores wake in index order.
 	for c := 0; c < e.cfg.Cores; c++ {
-		e.q.AtIndex(now, int32(e.cfg.Cores+c))
+		e.q.Schedule(now, int32(c))
 	}
-	e.q.Run()
+	for {
+		id, ok := e.q.Pop()
+		if !ok {
+			break
+		}
+		if c := int(id); e.runTask[c] >= 0 {
+			e.complete(c)
+		} else {
+			e.coreFree(c)
+		}
+	}
 
 	dur := e.lastCompletion - e.batchStart
 	e.res.BatchTimes = append(e.res.BatchTimes, dur)
@@ -363,18 +367,17 @@ func (e *engine) runBatch(bi int, b *task.Batch, env *Env) error {
 		}
 	}
 	e.observeBatch(bi, dur, census, plan)
-	// Advance the clock to the barrier (the queue's clock stops at the
-	// last event, which is the final core going idle ≈ lastCompletion).
-	if _, ok := e.q.NextTime(); ok {
-		panic("sched: events left after batch drain")
+	// The last event of a drained batch is its final completion, so the
+	// clock already stands at the barrier.
+	if now := e.q.Now(); now != e.lastCompletion {
+		panic(fmt.Sprintf("sched: batch %d drained at %g, last completion %g", bi, now, e.lastCompletion))
 	}
-	e.q.RunUntil(e.lastCompletion)
 	return nil
 }
 
 // observeBatch publishes one batch's metrics and events; it is a no-op
 // without a registry.
-func (e *engine) observeBatch(bi int, dur float64, census []int, plan Plan) {
+func (e *engine) observeBatch(bi int, dur float64, census []int, plan policy.Plan) {
 	if e.eo.reg == nil {
 		return
 	}
@@ -502,9 +505,8 @@ func (e *engine) coreFree(c int) {
 	e.m.SetState(now, c, machine.Busy)
 	e.runTask[c], e.runExec[c], e.runLead[c], e.runLevel[c] = ti, exec, lead, int32(level)
 	// One task runs per core at a time, so the completion event is just
-	// the core index — an AtIndex payload: no allocation and no pointer
-	// write per task.
-	e.q.AtIndex(now+lead+exec, int32(c))
+	// the core index: no allocation and no pointer write per task.
+	e.q.Schedule(now+lead+exec, int32(c))
 }
 
 // complete fires when core c finishes its running task.
@@ -532,6 +534,7 @@ func (e *engine) complete(c int) {
 		h.lat.Observe(now - e.batchStart)
 	}
 	e.classRefs[cid].Record(exec, level, e.soa.Miss[ti])
+	e.runTask[c] = -1
 	e.remaining--
 	if now > e.lastCompletion {
 		e.lastCompletion = now

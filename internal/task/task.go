@@ -21,6 +21,7 @@ package task
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/xrand"
 )
@@ -119,10 +120,10 @@ func (w *Workload) Validate() error {
 		}
 		for ti := range b.Tasks {
 			tk := &b.Tasks[ti]
-			if tk.Work <= 0 {
-				return fmt.Errorf("task: workload %q batch %d task %d has non-positive work %g", w.Name, bi, ti, tk.Work)
+			if !(tk.Work > 0) || math.IsInf(tk.Work, 1) {
+				return fmt.Errorf("task: workload %q batch %d task %d has work %g, want finite and positive", w.Name, bi, ti, tk.Work)
 			}
-			if tk.MemFrac < 0 || tk.MemFrac > 1 {
+			if !(tk.MemFrac >= 0 && tk.MemFrac <= 1) {
 				return fmt.Errorf("task: workload %q batch %d task %d has MemFrac %g outside [0,1]", w.Name, bi, ti, tk.MemFrac)
 			}
 			if tk.Class == "" {

@@ -144,10 +144,18 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := w.Validate(); err == nil {
 		t.Error("negative work should be rejected")
 	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		w.Batches[1].Tasks[0].Work = bad
+		if err := w.Validate(); err == nil {
+			t.Errorf("work %g should be rejected", bad)
+		}
+	}
 	w.Batches[1].Tasks[0].Work = 1
-	w.Batches[1].Tasks[0].MemFrac = 2
-	if err := w.Validate(); err == nil {
-		t.Error("MemFrac > 1 should be rejected")
+	for _, bad := range []float64{2, math.NaN()} {
+		w.Batches[1].Tasks[0].MemFrac = bad
+		if err := w.Validate(); err == nil {
+			t.Errorf("MemFrac %g should be rejected", bad)
+		}
 	}
 	w.Batches[1].Tasks[0].MemFrac = 0
 	w.Batches[1].Tasks[0].Class = ""
