@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-serve bench bench-check sweep sweep-parity cluster-sweep cluster-demo check check-long cover experiments examples obs-demo serve-demo density density-smoke serve-capacity-smoke traffic-smoke clean
+.PHONY: all build vet test race race-serve ledger-test bench bench-check sweep sweep-parity cluster-sweep cluster-demo check check-long cover experiments examples obs-demo serve-demo density density-smoke serve-capacity-smoke traffic-smoke clean
 
 all: build vet test
 
@@ -19,10 +19,16 @@ race:
 	$(GO) test -race ./...
 
 # The ingest/admission packages twice under the race detector: the
-# striped admission queues, pooled jobs and concurrent storm tests are
-# where a lifecycle bug would surface.
+# admission queue, pooled jobs, batch-disconnect and concurrent storm
+# tests are where a lifecycle bug would surface.
 race-serve:
 	$(GO) test -race -count=2 ./internal/serve/ ./internal/traffic/
+
+# The perf ledger's layer map names files, packages and shard.go
+# methods of this module by hand; these perfbench tests fail when a
+# rename or deletion detaches a layer (offline, about a second).
+ledger-test:
+	cd perfbench && $(GO) test -run 'TestLayerMapNamesExist|TestUnitOfInnermostFrame|TestCatalogueMatchesBenchmarkJSON' .
 
 # Full bench harness: Go benchmarks plus the machine-readable
 # policy × {makespan, energy, host-ns} record. BENCH_sched.json is the
@@ -79,15 +85,17 @@ check:
 # Nightly variant: long randomized stress (60 s per stress test) and
 # repeated -race runs across the concurrency-sensitive packages, plus
 # the whole tree with runtime invariants forced on via the eewa_check
-# build tag, plus a coverage-guided fuzz of the one-event-per-id heap
-# against its sorted-slice oracle over interleaved ids, same-instant
-# schedules and re-scheduled popped ids (the same interpreter as
-# TestQueueModelRandomized).
+# build tag, plus two coverage-guided fuzz targets: the one-event-per-id
+# heap against its sorted-slice oracle over interleaved ids,
+# same-instant schedules and re-scheduled popped ids (the same
+# interpreter as TestQueueModelRandomized), and serve's pooled response
+# encoder against encoding/json.
 check-long:
 	EEWA_STRESS_SECONDS=60 $(GO) test -race -count=2 -timeout 30m \
 		./internal/check/ ./internal/deque/ ./internal/event/ ./internal/policy/ ./internal/rt/ ./internal/serve/
 	$(GO) test -tags eewa_check -race ./internal/rt/ ./internal/check/ ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzQueue -fuzztime 60s ./internal/event/
+	$(GO) test -run '^$$' -fuzz FuzzEncodeMatchesStdlib -fuzztime 60s ./internal/serve/
 
 cover:
 	$(GO) test -cover ./...
@@ -135,12 +143,14 @@ density-smoke:
 	@echo "density smoke OK: BENCH_density.json written"
 
 # Closed-loop serve capacity smoke for CI: ramp closed-loop clients
-# through the ingest fast path and fail unless the sustained step stays
-# within the alloc/job budget (pooled decode, striped admission and
-# preallocated responses hold it near 10-13 allocs/job; the pre-pooling
-# path ran 75-113, so 25 catches any real regression with CI headroom).
-# The second pass exercises /v1/jobs:batch coalescing, which lifts the
-# RTT-bound single-client rate ~8x on the same budget.
+# through the ingest path and fail unless the sustained step stays
+# within the alloc/job budget. Pooled jobs and the pooled response
+# encoder hold it: ~23 allocs/job at 16 clients, about 10 of them the
+# encoding/json request decode, and ~11 through /v1/jobs:batch, where
+# one decode serves 16 jobs. The pre-pooling path ran 75-113, so 25
+# still catches a lost pool or encoder fast path. The second pass
+# exercises /v1/jobs:batch coalescing, which lifts the RTT-bound
+# single-client rate ~8x on the same budget.
 serve-capacity-smoke:
 	$(GO) run ./cmd/eewa-density -engines serve -serve-mode closed \
 		-policies eewa -cores 2 -func sha1 -size-bytes 256 -job-tasks 1 \

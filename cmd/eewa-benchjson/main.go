@@ -17,9 +17,9 @@
 //     the routing tier must stay within a few percent of the
 //     pre-router server this baseline was seeded from). The same cell
 //     budgets allocs/job against the baseline (-max-alloc-regress plus
-//     2 allocs of slack) — the ingest fast path's pooled decode,
-//     striped admission and preallocated responses must not leak
-//     allocations back onto the request path;
+//     2 allocs of slack) — the ingest path's pooled jobs and
+//     preallocated responses must not leak allocations back onto the
+//     request path;
 //   - the soa cells run a deep synthetic backlog (-soa-depth tasks per
 //     batch) through the simulator's struct-of-arrays hot path, where
 //     per-task costs dominate per-batch setup. They gate like the sim
@@ -98,7 +98,7 @@ type ServeRecord struct {
 	// AllocsPerJob is the median per-repetition heap allocation count
 	// over completed jobs — the whole process during the closed-loop
 	// drive, so it covers decode, admission, batching and response
-	// encoding. The ingest fast path (DESIGN.md §12) budgets this.
+	// encoding. The ingest path's pooling (DESIGN.md §12) budgets this.
 	AllocsPerJob float64 `json:"allocs_per_job,omitempty"`
 }
 

@@ -35,8 +35,8 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"os/signal"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -71,7 +71,6 @@ func main() {
 	captureOut := flag.String("capture-out", "", "record job submissions and write them as a replayable traffic trace here on drain")
 	drainSecs := flag.Int("drain-timeout", 60, "seconds to wait for the drain to finish")
 	demo := flag.Bool("demo", false, "drive a burst of submissions against the server, print the outcome, drain and exit")
-	stripes := flag.Int("admission-stripes", 0, "admission queue stripes per shard (0 = derive from GOMAXPROCS, rounded to a power of two)")
 	mutexFrac := flag.Int("mutexprofile", 0, "sample 1/N mutex contention events into /debug/pprof/mutex (0 = off)")
 	blockRate := flag.Int("blockprofile", 0, "sample blocking events ≥ N ns into /debug/pprof/block (0 = off)")
 	flag.Parse()
@@ -113,8 +112,6 @@ func main() {
 		QueueDepth:  *queueDepth,
 		MaxInFlight: *maxInflight,
 		GoMetrics:   *goMetrics,
-
-		AdmissionStripes: *stripes,
 	}
 	switch *ladderSplit {
 	case "uniform":

@@ -29,7 +29,7 @@ import (
 // The driver itself stays off the profile: request bodies are built
 // once per client and replayed through a rewound bytes.Reader, the
 // response writer is a reused status-only sink, and latency lands in a
-// sharded log-histogram. What remains — ServeMux routing and the
+// lock-free log-histogram. What remains — ServeMux routing and the
 // server's own ingest path — is exactly the cost being measured.
 
 // ClosedLoopConfig drives one capacity ramp.
@@ -44,8 +44,8 @@ type ClosedLoopConfig struct {
 	Path string
 
 	// BodyFor returns the constant request body for one client. Clients
-	// should carry distinct tenants so striped admission is exercised;
-	// the body is built once and replayed for the whole ramp.
+	// should carry distinct tenants so per-tenant admission is
+	// exercised; the body is built once and replayed for the whole ramp.
 	BodyFor func(client int) []byte
 
 	// JobsPerRequest is how many jobs one HTTP request submits (1 for
@@ -214,7 +214,7 @@ func runClosedStep(cfg ClosedLoopConfig, target *url.URL, clients int) ClosedSte
 
 	var phase atomic.Int32
 	slots := make([]clientSlot, clients)
-	lat := obs.NewShardedLogHistogram(0)
+	var lat obs.LogHistogram
 
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {

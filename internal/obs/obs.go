@@ -172,19 +172,13 @@ const (
 	kindGauge
 	kindHistogram
 	kindLogHistogram
-	// Striped variants (striped.go) are distinct kinds so a name cannot
-	// be registered once plain and once striped, but they advertise the
-	// plain TYPE — the export surface is identical.
-	kindStripedCounter
-	kindStripedGauge
-	kindShardedLogHistogram
 )
 
 func (k metricKind) String() string {
 	switch k {
-	case kindCounter, kindStripedCounter:
+	case kindCounter:
 		return "counter"
-	case kindGauge, kindStripedGauge:
+	case kindGauge:
 		return "gauge"
 	default:
 		// Log-bucketed histograms expose the same cumulative-bucket
@@ -331,12 +325,6 @@ func (r *Registry) lookup(name, help string, kind metricKind, buckets []float64,
 		f.plain = &LogHistogram{}
 	case kind == kindGauge:
 		f.plain = &Gauge{}
-	case kind == kindStripedCounter:
-		f.plain = NewStripedCounter(0)
-	case kind == kindStripedGauge:
-		f.plain = NewStripedGauge(0)
-	case kind == kindShardedLogHistogram:
-		f.plain = NewShardedLogHistogram(0)
 	default:
 		f.plain = &Counter{}
 	}

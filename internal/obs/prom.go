@@ -91,15 +91,6 @@ func writeMetricProm(w io.Writer, name, labels string, m any) error {
 	case *Gauge:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(m.Value()))
 		return err
-	case *StripedCounter:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(m.Value()))
-		return err
-	case *StripedGauge:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(m.Value()))
-		return err
-	case *ShardedLogHistogram:
-		// Merge once, emit as a plain log-histogram series.
-		return writeMetricProm(w, name, labels, m.Merged())
 	case *Histogram:
 		cum := uint64(0)
 		// labels here is already rendered "{...}" or ""; rebuild with le.
@@ -230,12 +221,6 @@ func metricValue(m any) any {
 		return m.Value()
 	case *Gauge:
 		return m.Value()
-	case *StripedCounter:
-		return m.Value()
-	case *StripedGauge:
-		return m.Value()
-	case *ShardedLogHistogram:
-		return metricValue(m.Merged())
 	case *Histogram:
 		buckets := map[string]uint64{}
 		cum := uint64(0)

@@ -241,7 +241,7 @@ func appendErrorBody(b []byte, msg string, retryAfter int) ([]byte, bool) {
 	if b, ok = appendJSONString(b, msg); !ok {
 		return b, false
 	}
-	if retryAfter > 0 {
+	if retryAfter != 0 { // omitempty omits only zero
 		b = append(b, ",\n  \"retry_after_s\": "...)
 		b = strconv.AppendInt(b, int64(retryAfter), 10)
 	}

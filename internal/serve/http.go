@@ -84,31 +84,19 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v) // headers are committed; nothing left to surface
 }
 
-// retryAfterSeconds rounds the configured hint up to whole seconds, as
-// the Retry-After header requires.
-func (s *Server) retryAfterSeconds() int {
-	return s.static.retryAfterSecs
-}
-
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
 		return
 	}
-	in := getIngest()
-	defer putIngest(in)
-	if err := in.readBody(r.Body); err != nil {
+	req, err := s.decodeJob(w, r)
+	if err != nil {
 		s.so.rejected.With("invalid").Inc()
 		s.writeError(w, http.StatusBadRequest, "decoding job: "+err.Error(), 0)
 		return
 	}
-	if err := s.decodeJob(in); err != nil {
-		s.so.rejected.With("invalid").Inc()
-		s.writeError(w, http.StatusBadRequest, "decoding job: "+err.Error(), 0)
-		return
-	}
-	j, err := s.newJob(in.req)
+	j, err := s.newJob(req)
 	if err != nil {
 		s.so.rejected.With("invalid").Inc()
 		s.writeError(w, http.StatusBadRequest, err.Error(), 0)
@@ -237,16 +225,22 @@ func (s *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request) {
 		case o := <-j.done:
 			items[i] = BatchItem{Status: o.status, Result: o.res, Error: o.err}
 		case <-r.Context().Done():
-			// Client hung up: cancel this job and everything still
-			// pending, then bail without a response.
+			// Client hung up: cancel every job still waiting, then bail
+			// without a response. A job whose outcome already sits in
+			// its done channel resolved before the hang-up, so it is not
+			// a disconnect cancellation.
 			for _, jj := range jobs[i:] {
 				if jj == nil {
 					continue
 				}
-				jj.cancelled.Store(true)
-				s.so.cancelled.With("disconnect").Inc()
-				jj.release()
+				select {
+				case <-jj.done:
+				default:
+					jj.cancelled.Store(true)
+					s.so.cancelled.With("disconnect").Inc()
+				}
 			}
+			releaseJobs(jobs)
 			return
 		}
 	}
@@ -274,6 +268,12 @@ func (s *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request) {
 		overall = http.StatusBadRequest
 	}
 	writeJSON(w, overall, BatchResponse{Jobs: items})
+	releaseJobs(jobs)
+}
+
+// releaseJobs drops the handler's reference on every admitted job of a
+// batch (nil entries were never admitted).
+func releaseJobs(jobs []*job) {
 	for _, j := range jobs {
 		if j != nil {
 			j.release()

@@ -127,7 +127,6 @@ func (ts *taskSlot) cancelled() bool { return ts.j.expiredBy(ts.j.srv.now()) }
 type job struct {
 	srv      *Server
 	id       uint64
-	seq      uint64 // admission order on its shard (stripe merge key)
 	tenant   string
 	req      JobRequest
 	tasks    []rt.Task  // parallel to slots; reused across requests
@@ -175,7 +174,7 @@ func (j *job) release() {
 	if j.refs.Add(-1) != 0 {
 		return
 	}
-	j.id, j.seq, j.shard = 0, 0, 0
+	j.id, j.shard = 0, 0
 	j.tenant = ""
 	j.req = JobRequest{}
 	j.deadline, j.enqueued, j.started = time.Time{}, time.Time{}, time.Time{}

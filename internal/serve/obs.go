@@ -6,10 +6,7 @@ import "repro/internal/obs"
 // namespace. Like the runtime's rtObs, every handle is nil when the
 // registry is nil and every method on a nil handle no-ops.
 type serveObs struct {
-	// admitted and inflight are the two families every submission hits;
-	// they are striped so a multi-core ingest storm never serializes on
-	// one cache line. They export as plain counter/gauge families.
-	admitted *obs.StripedCounter
+	admitted *obs.Counter
 	// admittedTenant splits admissions by tenant — the per-cohort
 	// admission view the traffic harness reads next to queueDepth and
 	// tenantEnergy.
@@ -22,10 +19,10 @@ type serveObs struct {
 	// visible and distinguishable from deadline drops.
 	cancelled *obs.CounterVec
 
-	// queueDepth children are delta-maintained by the stripes (cluster
-	// totals, exactly the values the old central aggregator published).
-	queueDepth *obs.GaugeVec     // by tenant: queued tasks
-	inflight   *obs.StripedGauge // admitted-but-unfinished tasks
+	// queueDepth children are delta-maintained by the shards' admission
+	// queues (cluster totals).
+	queueDepth *obs.GaugeVec // by tenant: queued tasks
+	inflight   *obs.Gauge    // admitted-but-unfinished tasks
 
 	batches    *obs.Counter
 	batchSecs  *obs.Histogram
@@ -120,7 +117,7 @@ func (ro *routerObs) shardEnergy(idx int, joules float64) {
 
 func newServeObs(reg *obs.Registry) serveObs {
 	return serveObs{
-		admitted: reg.StripedCounter("eewa_serve_admitted_total",
+		admitted: reg.Counter("eewa_serve_admitted_total",
 			"Jobs admitted into the batching queue."),
 		admittedTenant: reg.CounterVec("eewa_serve_admitted_tenant_total",
 			"Jobs admitted into the batching queue, by tenant.", "tenant"),
@@ -136,7 +133,7 @@ func newServeObs(reg *obs.Registry) serveObs {
 			"Jobs that completed every task."),
 		queueDepth: reg.GaugeVec("eewa_serve_queue_depth",
 			"Queued (admitted, not yet batched) tasks per tenant.", "tenant"),
-		inflight: reg.StripedGauge("eewa_serve_inflight_tasks",
+		inflight: reg.Gauge("eewa_serve_inflight_tasks",
 			"Admitted tasks not yet finished (queued + running)."),
 		batches: reg.Counter("eewa_serve_batches_total",
 			"Iterations executed on the live runtime."),

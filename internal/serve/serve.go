@@ -50,7 +50,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,14 +117,6 @@ type Config struct {
 	// MaxInFlight is the per-shard bound on admitted-but-unfinished
 	// tasks across all tenants (default 512).
 	MaxInFlight int
-	// AdmissionStripes is the number of independently locked admission
-	// stripes per shard (default GOMAXPROCS rounded up to a power of
-	// two, capped at 16). Tenants hash onto stripes, so concurrent
-	// submitters of different tenants admit without sharing a lock; the
-	// batcher merges stripes by admission sequence number, so batch
-	// composition is identical to a single global FIFO. 1 restores the
-	// single-lock layout.
-	AdmissionStripes int
 	// RetryAfter is the hint returned with 429/503 responses (default
 	// 1s, rounded up to whole seconds on the wire).
 	RetryAfter time.Duration
@@ -183,14 +174,6 @@ func (c *Config) setDefaults() {
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 512
 	}
-	if c.AdmissionStripes <= 0 {
-		n := runtime.GOMAXPROCS(0)
-		stripes := 1
-		for stripes < n && stripes < 16 {
-			stripes <<= 1
-		}
-		c.AdmissionStripes = stripes
-	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
@@ -232,7 +215,6 @@ type Server struct {
 	jobSeq  uint64
 	rr      atomic.Uint64 // round-robin cursor for RouteRR
 	jobPool sync.Pool     // *job — pooled submissions (see job.go)
-	tenants tenantTable   // interned tenant strings for the fast decoder
 	static  staticBodies  // precomputed canonical error responses (encode.go)
 }
 
@@ -291,7 +273,6 @@ func New(cfg Config) (*Server, error) {
 			reg:         cfg.Obs,
 			clock:       s.now,
 			manualFlush: cfg.ManualFlush,
-			stripes:     cfg.AdmissionStripes,
 		}, s.so, s.ro)
 		if err != nil {
 			return nil, err

@@ -254,32 +254,96 @@ func TestDeadlineExpiresWhileQueued(t *testing.T) {
 	}
 }
 
-func TestSubmitValidation(t *testing.T) {
-	s, ts := testServer(t, nil)
-	cases := []JobRequest{
-		{Func: "nope"},
-		{Func: "sha1", Count: 100000},
-		{Func: "sha1", SizeBytes: maxSizeBytes + 1},
-		{Func: "sha1", DeadlineMS: -1},
+// postJob posts body to POST /v1/jobs on a ManualFlush server. When
+// the handler admits the job it returns the request the handler
+// decoded, read off the shard's queue, and flushes so the handler can
+// answer; otherwise it returns nil.
+func postJob(t *testing.T, s *Server, body string) (*httptest.ResponseRecorder, *JobRequest) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body))
+	before := s.Stats().Admitted
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Handler().ServeHTTP(rec, req)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().Admitted == before {
+		select {
+		case <-done:
+			return rec, nil
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("handler neither answered nor admitted the job")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	for _, req := range cases {
-		resp, body := submit(t, ts.URL, req)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%+v → status %d: %s", req, resp.StatusCode, body)
+	sh := s.shards[0]
+	sh.qmu.Lock()
+	decoded := sh.pending[len(sh.pending)-1].req
+	sh.qmu.Unlock()
+	s.Flush()
+	<-done
+	return rec, &decoded
+}
+
+// TestSubmitValidation pins what POST /v1/jobs accepts: the decode
+// contract (one JSON value of at most 64 KiB, unknown fields rejected,
+// trailing bytes ignored, floats exact, null a no-op) and the request
+// validation behind it.
+func TestSubmitValidation(t *testing.T) {
+	s, _ := testServer(t, func(c *Config) { c.ManualFlush = true })
+	t.Cleanup(func() { drain(t, s) })
+
+	a, b := 0.1, 0.2
+	hint := a + b // 0.30000000000000004: 17 significant digits
+	cases := []struct {
+		name    string
+		body    string
+		wantErr string      // 400 body; empty means only the status is checked
+		want    *JobRequest // non-nil: admitted, and decoded to this (defaults applied)
+	}{
+		{name: "oversize body",
+			body:    `{"tenant":"` + strings.Repeat("x", maxBodyBytes) + `","func":"sha1"}`,
+			wantErr: "decoding job: http: request body too large"},
+		{name: "unknown field", body: `{"func":"sha1","bogus":1}`,
+			wantErr: `decoding job: json: unknown field "bogus"`},
+		{name: "trailing bytes", body: `{"func":"sha1","count":2} trailing garbage`,
+			want: &JobRequest{Tenant: "default", Func: "sha1", SizeBytes: 4096, Count: 2}},
+		{name: "17-digit work hint", body: `{"func":"sha1","work_hint_s":0.30000000000000004}`,
+			want: &JobRequest{Tenant: "default", Func: "sha1", SizeBytes: 4096, Count: 1, WorkHintS: hint}},
+		{name: "null fields",
+			body: `{"func":"sha1","count":3,"tenant":null,"size_bytes":null,"count":null,"seed":null,"deadline_ms":null,"work_hint_s":null}`,
+			want: &JobRequest{Tenant: "default", Func: "sha1", SizeBytes: 4096, Count: 3}},
+		{name: "unknown func", body: `{"func":"nope"}`},
+		{name: "too many tasks", body: `{"func":"sha1","count":100000}`},
+		{name: "oversize corpus", body: fmt.Sprintf(`{"func":"sha1","size_bytes":%d}`, maxSizeBytes+1)},
+		{name: "negative deadline", body: `{"func":"sha1","deadline_ms":-1}`},
+	}
+	for _, tc := range cases {
+		rec, got := postJob(t, s, tc.body)
+		if tc.want != nil {
+			switch {
+			case rec.Code != http.StatusOK:
+				t.Errorf("%s: status %d, want 200: %s", tc.name, rec.Code, rec.Body)
+			case got == nil || *got != *tc.want:
+				t.Errorf("%s: decoded %+v, want %+v", tc.name, got, tc.want)
+			}
+			continue
+		}
+		if rec.Code != http.StatusBadRequest || got != nil {
+			t.Errorf("%s: status %d, admitted %v, want 400 unadmitted: %s", tc.name, rec.Code, got != nil, rec.Body)
+			continue
+		}
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+			t.Errorf("%s: error body %q: %v", tc.name, rec.Body, err)
+		} else if tc.wantErr != "" && eb.Error != tc.wantErr {
+			t.Errorf("%s: error %q, want %q", tc.name, eb.Error, tc.wantErr)
 		}
 	}
-	// Unknown fields are rejected too (strict API).
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"func":"sha1","bogus":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field → status %d", resp.StatusCode)
-	}
-	drain(t, s)
 }
 
 func TestHealthzFlipsOnDrain(t *testing.T) {

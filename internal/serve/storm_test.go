@@ -6,92 +6,14 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/machine"
 	"repro/internal/obs"
 )
-
-// Striped admission must be invisible: the same single-threaded
-// submission sequence against an 8-stripe server and a 1-stripe
-// oracle has to produce identical outcomes — the same rejections with
-// the same messages, and the same batch compositions (admission seq
-// merge == global FIFO).
-func TestStripedAdmissionMatchesSingleStripeOracle(t *testing.T) {
-	run := func(stripes int) []string {
-		cfg := Config{
-			Workers:     4,
-			Machine:     machine.Opteron16(),
-			Policy:      "eewa",
-			Seed:        7,
-			Obs:         obs.NewRegistry(),
-			ManualFlush: true,
-			MaxBatch:    16,
-			QueueDepth:  24,
-			MaxInFlight: 64,
-
-			AdmissionStripes: stripes,
-		}
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer drain(t, s)
-
-		tenants := []string{"acme", "beta", "gamma", "delta", "epsilon", "zeta"}
-		var outcomes []string
-		idx := 0
-		for round := 0; round < 3; round++ {
-			type waiting struct {
-				idx int
-				p   *Pending
-			}
-			var pend []waiting
-			for i := 0; i < 40; i++ {
-				req := JobRequest{
-					Tenant:    tenants[idx%len(tenants)],
-					Func:      "sha1",
-					Count:     1 + idx%3,
-					SizeBytes: 256,
-					Seed:      uint64(idx),
-					WorkHintS: float64(idx%5) * 1e-4,
-				}
-				p, rej := s.Submit(req)
-				if rej != nil {
-					outcomes = append(outcomes, fmt.Sprintf("%d rej %d %s", idx, rej.Status, rej.Msg))
-				} else {
-					pend = append(pend, waiting{idx, p})
-				}
-				idx++
-			}
-			s.Flush()
-			for _, w := range pend {
-				status, res, errMsg := w.p.Wait()
-				if res != nil {
-					outcomes = append(outcomes, fmt.Sprintf("%d st=%d batch=%d run=%d/%d", w.idx, status, res.Batch, res.TasksRun, res.Tasks))
-				} else {
-					outcomes = append(outcomes, fmt.Sprintf("%d st=%d err=%s", w.idx, status, errMsg))
-				}
-			}
-		}
-		return outcomes
-	}
-
-	oracle := run(1)
-	striped := run(8)
-	if len(oracle) != len(striped) {
-		t.Fatalf("outcome counts differ: oracle %d, striped %d", len(oracle), len(striped))
-	}
-	for i := range oracle {
-		if oracle[i] != striped[i] {
-			t.Errorf("outcome %d: oracle %q, striped %q", i, oracle[i], striped[i])
-		}
-	}
-}
 
 // A concurrent multi-tenant submit storm through the full HTTP stack:
 // every submission must resolve to exactly one of 200/429, per-tenant
 // accounting must close (submitted == ok + rejected), and after drain
 // the task ledger must balance — no admitted task lost or double-run
-// by the striped queues. Run under -race (see the race-serve target).
+// by the admission queue. Run under -race (see the race-serve target).
 func TestConcurrentSubmitStormConservesTasks(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, ts := testServer(t, func(c *Config) {
@@ -100,8 +22,6 @@ func TestConcurrentSubmitStormConservesTasks(t *testing.T) {
 		c.MaxInFlight = 128
 		c.MaxBatch = 32
 		c.FlushEvery = 2 * time.Millisecond
-
-		c.AdmissionStripes = 8
 	})
 
 	const (
