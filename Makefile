@@ -85,16 +85,18 @@ check:
 # Nightly variant: long randomized stress (60 s per stress test) and
 # repeated -race runs across the concurrency-sensitive packages, plus
 # the whole tree with runtime invariants forced on via the eewa_check
-# build tag, plus two coverage-guided fuzz targets: the one-event-per-id
+# build tag, plus three coverage-guided fuzz targets: the one-event-per-id
 # heap against its sorted-slice oracle over interleaved ids,
 # same-instant schedules and re-scheduled popped ids (the same
-# interpreter as TestQueueModelRandomized), and serve's pooled response
-# encoder against encoding/json.
+# interpreter as TestQueueModelRandomized), the victim walk that skips
+# drained c-groups against the full walk (victims, probe counts and RNG
+# state), and serve's pooled response encoder against encoding/json.
 check-long:
 	EEWA_STRESS_SECONDS=60 $(GO) test -race -count=2 -timeout 30m \
 		./internal/check/ ./internal/deque/ ./internal/event/ ./internal/policy/ ./internal/rt/ ./internal/serve/
 	$(GO) test -tags eewa_check -race ./internal/rt/ ./internal/check/ ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzQueue -fuzztime 60s ./internal/event/
+	$(GO) test -run '^$$' -fuzz FuzzVictimWalkSkip -fuzztime 60s ./internal/policy/
 	$(GO) test -run '^$$' -fuzz FuzzEncodeMatchesStdlib -fuzztime 60s ./internal/serve/
 
 cover:

@@ -20,7 +20,7 @@ type fakeServer struct {
 func (f *fakeServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	n := f.inflight.Add(1)
 	defer f.inflight.Add(-1)
-	time.Sleep(f.perCall + time.Duration(n-1)*f.crowd)
+	waitFor(f.perCall + time.Duration(n-1)*f.crowd)
 	w.WriteHeader(f.status)
 }
 

@@ -42,6 +42,8 @@ const (
 	// Halted means the core is parked (monitor/mwait or deep C-state):
 	// leakage plus a small fraction of dynamic power.
 	Halted
+
+	numStates = 3
 )
 
 // String implements fmt.Stringer for diagnostics.
@@ -262,9 +264,10 @@ type Machine struct {
 
 	lastChange float64
 	coreEnergy []float64
-	busyTime   []float64
-	spinTime   []float64
-	haltTime   []float64
+	// stateTime[id*numStates+s] is the seconds core id has spent in
+	// state s, so charge adds each core's interval to the slot its
+	// state selects instead of branching on the state.
+	stateTime []float64
 
 	// DVFSTransitions counts frequency switches, for overhead
 	// reporting.
@@ -285,9 +288,7 @@ func New(cfg Config) *Machine {
 		states:     make([]CoreState, n),
 		power:      make([]float64, n),
 		coreEnergy: make([]float64, n),
-		busyTime:   make([]float64, n),
-		spinTime:   make([]float64, n),
-		haltTime:   make([]float64, n),
+		stateTime:  make([]float64, n*numStates),
 	}
 	for i := range m.states {
 		m.states[i] = Halted
@@ -363,22 +364,19 @@ func (m *Machine) charge(now float64) {
 	if dt == 0 {
 		return
 	}
-	for id := range m.freqs {
-		m.coreEnergy[id] += dt * m.power[id]
-		switch m.states[id] {
-		case Busy:
-			m.busyTime[id] += dt
-		case Spinning:
-			m.spinTime[id] += dt
-		case Halted:
-			m.haltTime[id] += dt
-		}
+	energy, power := m.coreEnergy[:len(m.states)], m.power[:len(m.states)]
+	for id, s := range m.states {
+		energy[id] += dt * power[id]
+		m.stateTime[id*numStates+int(s)] += dt
 	}
 	m.lastChange = now
 }
 
 // SetState moves core id to a new activity state at simulated time now.
 func (m *Machine) SetState(now float64, id int, s CoreState) {
+	if uint(s) >= numStates {
+		panic(fmt.Sprintf("machine: core %d set to invalid state %v", id, s))
+	}
 	m.charge(now)
 	m.states[id] = s
 	m.recomputePower(id)
@@ -425,29 +423,30 @@ func (m *Machine) CoreEnergyAt(now float64) float64 {
 
 // BusyTime returns the seconds core id has spent executing tasks, as of
 // the machine's last charge point.
-func (m *Machine) BusyTime(id int) float64 { return m.busyTime[id] }
+func (m *Machine) BusyTime(id int) float64 { return m.stateTime[id*numStates+int(Busy)] }
 
 // SpinTime returns the seconds core id has spent in the steal loop.
-func (m *Machine) SpinTime(id int) float64 { return m.spinTime[id] }
+func (m *Machine) SpinTime(id int) float64 { return m.stateTime[id*numStates+int(Spinning)] }
 
 // HaltTime returns the seconds core id has spent parked.
-func (m *Machine) HaltTime(id int) float64 { return m.haltTime[id] }
+func (m *Machine) HaltTime(id int) float64 { return m.stateTime[id*numStates+int(Halted)] }
 
 // TotalBusyTime sums BusyTime across cores.
-func (m *Machine) TotalBusyTime() float64 { return sum(m.busyTime) }
+func (m *Machine) TotalBusyTime() float64 { return m.totalTime(Busy) }
 
 // TotalSpinTime sums SpinTime across cores.
-func (m *Machine) TotalSpinTime() float64 { return sum(m.spinTime) }
+func (m *Machine) TotalSpinTime() float64 { return m.totalTime(Spinning) }
 
 // TotalHaltTime sums HaltTime across cores.
-func (m *Machine) TotalHaltTime() float64 { return sum(m.haltTime) }
+func (m *Machine) TotalHaltTime() float64 { return m.totalTime(Halted) }
 
-func sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
+// totalTime sums state s's time across cores in ascending core order.
+func (m *Machine) totalTime(s CoreState) float64 {
+	t := 0.0
+	for i := int(s); i < len(m.stateTime); i += numStates {
+		t += m.stateTime[i]
 	}
-	return s
+	return t
 }
 
 // Sync charges the open interval so that the per-state time counters
@@ -471,12 +470,13 @@ func (m *Machine) ReclassifyBusyAsSpin(id int, dt float64) {
 	if dt < 0 || math.IsNaN(dt) {
 		panic(fmt.Sprintf("machine: reclassify negative interval %g", dt))
 	}
-	if dt > m.busyTime[id]+1e-9 {
+	busy := id*numStates + int(Busy)
+	if dt > m.stateTime[busy]+1e-9 {
 		panic(fmt.Sprintf("machine: reclassify %g s busy->spin but core %d has only %g s busy",
-			dt, id, m.busyTime[id]))
+			dt, id, m.stateTime[busy]))
 	}
-	m.busyTime[id] -= dt
-	m.spinTime[id] += dt
+	m.stateTime[busy] -= dt
+	m.stateTime[id*numStates+int(Spinning)] += dt
 }
 
 // FreqCensus returns how many cores currently sit at each frequency

@@ -386,6 +386,22 @@ func TestCoreStateString(t *testing.T) {
 	}
 }
 
+// TestSetStateRejectsUnknownState: a core's state selects its time
+// counter slot, so an out-of-range state must panic rather than charge
+// another core's counter.
+func TestSetStateRejectsUnknownState(t *testing.T) {
+	for _, s := range []CoreState{-1, 3, 42} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetState(%d) did not panic", int(s))
+				}
+			}()
+			New(Opteron16()).SetState(1, 0, s)
+		}()
+	}
+}
+
 // Tiered builds the heterogeneous cluster ladders: shard i loses the
 // top i rungs but always keeps at least two, the voltage table stays
 // in step with the ladder, and the result still validates.

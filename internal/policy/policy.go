@@ -244,15 +244,16 @@ func (pl *IndexedPlacer) Place(cid int32) (core, group int) {
 
 // --- Steal order ------------------------------------------------------
 
-// StealOrder enumerates the victim pools an out-of-work core probes, in
-// the plan's preference order. It is immutable after construction and
-// safe for concurrent use by all workers (each worker supplies its own
-// RNG).
+// StealOrder is the victim probe order of a plan: which remote pools an
+// out-of-work core probes, and in what order. It is immutable after
+// construction and safe for concurrent use; each core walks it through
+// its own VictimWalker with its own RNG.
 type StealOrder struct {
 	random    bool
 	cores     int
 	coreGroup []int
 	prefs     [][]int
+	groups    []cgroup.Group
 }
 
 // NewStealOrder builds the steal order for plan on an m-core engine.
@@ -262,40 +263,16 @@ func NewStealOrder(plan *Plan, cores int) *StealOrder {
 		cores:     cores,
 		coreGroup: plan.Assignment.CoreGroup,
 		prefs:     cgroup.PreferenceLists(plan.Assignment.U()),
+		groups:    plan.Assignment.Groups,
 	}
 }
 
-// ForEachVictim calls probe(victim, group) for every remote pool core
-// self may steal from, in the policy's order, stopping early when probe
-// returns true (and reporting whether it did). The caller's local pool
-// (self, its own group) is excluded — owners pop it directly.
-//
-// Random plans probe every other core's own-group pool in one random
-// permutation. Preference plans walk the rob-the-weaker-first group
-// list of self's c-group (Fig. 5) and probe every core's pool for that
-// group in a fresh random permutation per group — exactly the paper's
-// §III-B search, and byte-identical RNG consumption to the historical
-// engines so simulations stay reproducible across the refactor.
-//
-// Each call allocates one scratch permutation. Hot paths (the engines'
-// acquire loops, which run ForEachVictim once per failed local pop)
-// should instead hold a per-core Walker and reuse its buffer.
-func (s *StealOrder) ForEachVictim(self int, rng *xrand.RNG, probe func(victim, group int) bool) bool {
-	w := VictimWalker{so: s, self: self, perm: make([]int, s.cores)}
-	return w.ForEachVictim(rng, probe)
-}
-
-// VictimWalker is a per-core victim iterator bound to a StealOrder. It
-// owns a reusable permutation buffer, so walking the victim order
-// allocates nothing — the engines cache one walker per core and rebind
-// it at each plan epoch (the plan, and with it the steal order, can
-// only change at a batch boundary). A walker must only be used by its
-// core's worker; distinct walkers over the same StealOrder are safe
-// concurrently.
-//
-// RNG consumption is byte-identical to StealOrder.ForEachVictim
-// (xrand.PermInto draws exactly as Perm does), so cached walkers
-// reproduce the historical engines' schedules bit for bit.
+// VictimWalker is one core's iterator over a StealOrder. It owns a
+// reusable permutation buffer, so a walk allocates nothing — the
+// engines keep one walker per core and rebind it whenever the plan,
+// and with it the steal order, changes (only at a batch boundary). A
+// walker must only be used by its core's worker; distinct walkers over
+// the same StealOrder are safe concurrently.
 type VictimWalker struct {
 	so   *StealOrder
 	self int
@@ -316,11 +293,43 @@ func (w *VictimWalker) Bind(so *StealOrder) {
 	}
 }
 
-// ForEachVictim walks the victim order exactly as
-// StealOrder.ForEachVictim does, reusing the walker's buffer.
-func (w *VictimWalker) ForEachVictim(rng *xrand.RNG, probe func(victim, group int) bool) bool {
+// ForEachVictim calls probe(victim, group) for every remote pool the
+// walker's core may steal from, in the policy's order, stopping early
+// when probe returns true (and reporting whether it did). The core's
+// local pool (self, its own group) is excluded — owners pop it
+// directly.
+//
+// Random plans probe every other core's own-group pool in one random
+// permutation. Preference plans walk the rob-the-weaker-first group
+// list of self's c-group (Fig. 5) and probe every core's pool for that
+// group in a fresh random permutation per group — the paper's §III-B
+// search. Permutations come from rng.PermInto, so the RNG stream is the
+// one every recorded schedule was made with.
+//
+// pending, when non-nil, holds the number of tasks in each c-group's
+// pools. A group with none is not walked: its permutation's draws are
+// replayed with rng.SkipPerm, and skip(group, n) reports the n probes a
+// full walk would have made there (cores−1 in self's group, cores in
+// any other). A random plan skips its one permutation when every group
+// is empty, reporting each group's share. Found victim, RNG state and
+// probe totals per group are thus those of the full walk; a caller
+// that cannot keep exact counts (the live runtime, whose pools race)
+// passes nil and walks everything.
+func (w *VictimWalker) ForEachVictim(rng *xrand.RNG, pending []int32, probe func(victim, group int) bool, skip func(group, probes int)) bool {
 	s := w.so
+	myG := s.coreGroup[w.self]
 	if s.random {
+		if pending != nil && drained(pending) {
+			rng.SkipPerm(s.cores)
+			for g, grp := range s.groups {
+				n := len(grp.Cores) // a random walk probes each core's own group
+				if g == myG {
+					n--
+				}
+				skip(g, n)
+			}
+			return false
+		}
 		rng.PermInto(w.perm)
 		for _, v := range w.perm {
 			if v == w.self {
@@ -332,8 +341,16 @@ func (w *VictimWalker) ForEachVictim(rng *xrand.RNG, probe func(victim, group in
 		}
 		return false
 	}
-	myG := s.coreGroup[w.self]
 	for _, g := range s.prefs[myG] {
+		if pending != nil && pending[g] == 0 {
+			rng.SkipPerm(s.cores)
+			n := s.cores
+			if g == myG {
+				n--
+			}
+			skip(g, n)
+			continue
+		}
 		rng.PermInto(w.perm)
 		for _, v := range w.perm {
 			if v == w.self && g == myG {
@@ -345,4 +362,14 @@ func (w *VictimWalker) ForEachVictim(rng *xrand.RNG, probe func(victim, group in
 		}
 	}
 	return false
+}
+
+// drained reports whether every group's pools are empty.
+func drained(pending []int32) bool {
+	for _, n := range pending {
+		if n != 0 {
+			return false
+		}
+	}
+	return true
 }

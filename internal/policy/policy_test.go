@@ -133,10 +133,10 @@ func TestPlacerByClassUsesPlacementCores(t *testing.T) {
 // collectProbes drains the full probe sequence for a worker.
 func collectProbes(so *StealOrder, self int, rng *xrand.RNG) [][2]int {
 	var seq [][2]int
-	so.ForEachVictim(self, rng, func(v, g int) bool {
+	so.Walker(self).ForEachVictim(rng, nil, func(v, g int) bool {
 		seq = append(seq, [2]int{v, g})
 		return false
-	})
+	}, nil)
 	return seq
 }
 
@@ -199,10 +199,10 @@ func TestStealOrderFindsTask(t *testing.T) {
 	plan := &Plan{Assignment: cgroup.AllFast(4, nil), RandomSteal: true}
 	so := NewStealOrder(plan, 4)
 	hits := 0
-	found := so.ForEachVictim(0, xrand.New(1), func(v, g int) bool {
+	found := so.Walker(0).ForEachVictim(xrand.New(1), nil, func(v, g int) bool {
 		hits++
 		return v == 3 // pretend core 3's pool yields
-	})
+	}, nil)
 	if !found {
 		t.Error("ForEachVictim should report success")
 	}

@@ -255,6 +255,9 @@ type Runtime struct {
 	// every deque, so only a shape change forces a rebuild). RunBatch is
 	// single-caller, so no synchronization is needed between batches.
 	pools [][]*deque.Chase[*Task]
+	// walkers[worker] — each worker's victim walker, rebound to the new
+	// steal order every batch, so searching for work allocates nothing.
+	walkers []*policy.VictimWalker
 
 	batchIndex int
 	idealTime  time.Duration
@@ -388,6 +391,16 @@ func (r *Runtime) RunBatch(tasks []Task) BatchStats {
 	}
 
 	stealOrder := policy.NewStealOrder(&r.plan, n)
+	if r.walkers == nil {
+		r.walkers = make([]*policy.VictimWalker, n)
+		for w := range r.walkers {
+			r.walkers[w] = stealOrder.Walker(w)
+		}
+	} else {
+		for _, w := range r.walkers {
+			w.Bind(stealOrder)
+		}
+	}
 	var (
 		steals    atomic.Int64
 		cancelled atomic.Int64
@@ -414,6 +427,7 @@ func (r *Runtime) RunBatch(tasks []Task) BatchStats {
 		go func(id int) {
 			defer wg.Done()
 			rng := xrand.New(r.cfg.Seed + uint64(id)*0x9E3779B97F4A7C15 + uint64(r.batchIndex))
+			walker := r.walkers[id]
 			aggs := map[string]*classAgg{}
 			classAggs[id] = aggs
 			myG := r.asn.CoreGroup[id]
@@ -422,7 +436,7 @@ func (r *Runtime) RunBatch(tasks []Task) BatchStats {
 			outOfWork := false
 			spinStart := time.Now()
 			for remain.Load() > 0 {
-				t, stolen := acquire(pools, stealOrder, id, myG, rng)
+				t, stolen := acquire(pools, walker, id, myG, rng)
 				if t == nil {
 					// Every reachable pool looked empty: apply the
 					// policy's out-of-work action once. Pools only
@@ -655,20 +669,22 @@ func (r *Runtime) applyLevels() {
 }
 
 // acquire finds the next task for worker id: local pool first, then
-// remote pools in the policy's victim order. Returns nil when every
-// reachable pool is empty right now.
-func acquire(pools [][]*deque.Chase[*Task], so *policy.StealOrder, id, myG int, rng *xrand.RNG) (*Task, bool) {
+// remote pools in the policy's victim order, walked by the worker's own
+// walker so a failed search allocates nothing. Returns nil when every
+// reachable pool is empty right now. The walk gets no pending counts:
+// workers race on the pools, so no exact count exists to skip by.
+func acquire(pools [][]*deque.Chase[*Task], walker *policy.VictimWalker, id, myG int, rng *xrand.RNG) (*Task, bool) {
 	if t, ok := pools[id][myG].PopBottom(); ok {
 		return t, false
 	}
 	var got *Task
-	so.ForEachVictim(id, rng, func(v, g int) bool {
+	walker.ForEachVictim(rng, nil, func(v, g int) bool {
 		t, ok := pools[v][g].Steal()
 		if !ok {
 			return false
 		}
 		got = t
 		return true
-	})
+	}, nil)
 	return got, got != nil
 }

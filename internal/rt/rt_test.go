@@ -5,8 +5,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cgroup"
+	"repro/internal/deque"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/policy"
+	"repro/internal/xrand"
 )
 
 func testConfig(workers int, p Policy) Config {
@@ -413,5 +417,32 @@ func TestRunBatchHooks(t *testing.T) {
 	}
 	if endStats[1].Tasks != bs.Tasks || endStats[1].Wall != bs.Wall {
 		t.Errorf("BatchEnd stats diverge from RunBatch return")
+	}
+}
+
+// TestAcquireWalkAllocatesNothing pins that a worker's failed search —
+// local pop, then a full victim walk over empty pools — allocates
+// nothing: the worker's walker owns the permutation buffer.
+func TestAcquireWalkAllocatesNothing(t *testing.T) {
+	const n = 4
+	for _, random := range []bool{true, false} {
+		asn, err := cgroup.FromLevels([]int{0, 0, 2, 2}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		so := policy.NewStealOrder(&policy.Plan{Assignment: asn, RandomSteal: random}, n)
+		pools := make([][]*deque.Chase[*Task], n)
+		for w := range pools {
+			pools[w] = []*deque.Chase[*Task]{deque.NewChase[*Task](), deque.NewChase[*Task]()}
+		}
+		walker, rng := so.Walker(1), xrand.New(1)
+		allocs := testing.AllocsPerRun(200, func() {
+			if task, _ := acquire(pools, walker, 1, asn.CoreGroup[1], rng); task != nil {
+				t.Fatal("acquired from empty pools")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("random=%v: failed acquire allocates %.1f times, want 0", random, allocs)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/policy"
 	"repro/internal/task"
+	"repro/internal/workloads"
 )
 
 // benchHotPath measures the simulator's per-task cost on a deep
@@ -30,3 +31,39 @@ func benchHotPath(b *testing.B, p policy.Policy) {
 
 func BenchmarkSimHotPath(b *testing.B)     { benchHotPath(b, policy.NewCilk()) }
 func BenchmarkSimHotPathEEWA(b *testing.B) { benchHotPath(b, policy.NewEEWA()) }
+
+// BenchmarkSimTable2 measures the simulator on the perf ledger's
+// sim-table2 traffic: one seed of the seven Table II benchmarks under
+// every policy on Opteron16, a fresh policy per run. Unlike the
+// hot-path benchmarks above it exercises EEWA's multi-group preference
+// walk, which dominates that workload. One op is the whole suite; the
+// rate is reported as simulated tasks per second.
+func BenchmarkSimTable2(b *testing.B) {
+	cfg := machine.Opteron16()
+	const seed = 1
+	var ws []*task.Workload
+	tasks := 0
+	for _, bm := range workloads.All() {
+		w := bm.Workload(seed)
+		ws = append(ws, w)
+		tasks += w.TotalTasks() * len(policy.IDs())
+	}
+	params := DefaultParams()
+	params.Seed = seed
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, w := range ws {
+			for _, id := range policy.IDs() {
+				p, err := policy.New(id, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := Run(cfg, w, p, params); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(tasks)*float64(b.N)/b.Elapsed().Seconds(), "tasks/s")
+}

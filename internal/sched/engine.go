@@ -144,9 +144,12 @@ type engine struct {
 
 	// pools[c*u+g] — flattened task-index pools, reused across batches
 	// while the plan's group count u is stable (each batch drains them
-	// completely), rebuilt when u changes.
-	pools []*deque.Ring[int32]
-	u     int
+	// completely), rebuilt when u changes. pending[g] counts the tasks
+	// in group g's pools, so a victim walk skips the groups that hold
+	// none without probing them.
+	pools   []*deque.Ring[int32]
+	pending []int32
+	u       int
 
 	asn   *cgroup.Assignment
 	plan  policy.Plan
@@ -437,6 +440,7 @@ func (e *engine) place(b *task.Batch) {
 		for i := range e.pools {
 			e.pools[i] = deque.NewRing[int32]()
 		}
+		e.pending = make([]int32, u)
 	}
 	e.u = u
 
@@ -464,6 +468,7 @@ func (e *engine) place(b *task.Batch) {
 	for i, cid := range e.soa.ClassID {
 		c, g := pl.Place(cid)
 		e.pools[c*u+g].PushBottom(int32(i))
+		e.pending[g]++
 	}
 }
 
@@ -547,7 +552,9 @@ func (e *engine) complete(c int) {
 // whether it was a remote steal, and the victim c-group of a
 // successful steal (-1 otherwise). The victim order — classic random
 // stealing or the paper's rob-the-weaker-first preference walk — comes
-// from the shared policy core.
+// from the shared policy core. The walk skips groups whose pools are
+// all empty; skipped probes count as if made, so probe totals, miss
+// and attempt counters and the victim stream match a full walk.
 func (e *engine) acquire(c int) (int32, int, bool, int) {
 	probes := 0
 	myG := e.asn.CoreGroup[c]
@@ -556,12 +563,13 @@ func (e *engine) acquire(c int) (int32, int, bool, int) {
 	// Local pool first — both disciplines.
 	probes++
 	if ti, ok := e.pools[c*e.u+myG].PopBottom(); ok {
+		e.pending[myG]--
 		return ti, probes, false, -1
 	}
 
 	got := int32(-1)
 	victimG := -1
-	e.walkers[c].ForEachVictim(e.victimRNG[c], func(v, g int) bool {
+	e.walkers[c].ForEachVictim(e.victimRNG[c], e.pending, func(v, g int) bool {
 		probes++
 		if counted {
 			e.eo.stealAttempts[g].Inc()
@@ -570,11 +578,17 @@ func (e *engine) acquire(c int) (int32, int, bool, int) {
 		if !ok {
 			return false
 		}
+		e.pending[g]--
 		if counted {
 			e.eo.steals[g].Inc()
 		}
 		got, victimG = ti, g
 		return true
+	}, func(g, n int) {
+		probes += n
+		if counted {
+			e.eo.stealAttempts[g].Add(float64(n))
+		}
 	})
 	if got < 0 {
 		return -1, probes, false, -1

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -65,6 +66,7 @@ func TestObsIntegration(t *testing.T) {
 	if sum != float64(res.Steals) {
 		t.Errorf("steal counters sum to %g, result = %d", sum, res.Steals)
 	}
+	checkProbeIdentities(t, reg, res, cfg, totalTasks(b))
 
 	// Census residency covers the task-execution window of every batch
 	// (the adjuster-charge and DVFS-latency windows are excluded), so it
@@ -134,6 +136,59 @@ func TestObsIntegration(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "eewa_sim_probe_misses_total") {
 		t.Error("export missing probe-miss family")
+	}
+}
+
+// TestProbeIdentitiesEveryPolicy checks the probe identities under
+// every policy, so both victim disciplines — the random walk and the
+// preference walk, each skipping drained groups — report the probes a
+// full walk makes.
+func TestProbeIdentitiesEveryPolicy(t *testing.T) {
+	cfg := machine.Opteron16()
+	for _, name := range []string{"sha1", "md5"} {
+		b, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range policy.IDs() {
+			p, err := policy.New(id, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			params := DefaultParams()
+			params.Obs = reg
+			res, err := Run(cfg, b.Workload(2), p, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(name+"/"+id, func(t *testing.T) {
+				checkProbeIdentities(t, reg, res, cfg, totalTasks(b))
+			})
+		}
+	}
+}
+
+// checkProbeIdentities ties the probe counters to the result. Every
+// acquire probes its local pool once and counts each probe that found
+// nothing as a miss, so misses + tasks = Probes. Every acquire that is
+// not a task's is a core running dry, which happens exactly once per
+// core per batch, so the remote probes — the per-group steal attempts —
+// are Probes − tasks − cores·batches. Probes a walk skips over drained
+// c-groups must land in both counters.
+func checkProbeIdentities(t *testing.T, reg *obs.Registry, res *Result, cfg machine.Config, tasks int) {
+	t.Helper()
+	misses := reg.Counter("eewa_sim_probe_misses_total", "").Value()
+	if got := misses + float64(tasks); got != float64(res.Probes) {
+		t.Errorf("probe misses %g + tasks %d = %g, result probes = %d", misses, tasks, got, res.Probes)
+	}
+	attemptVec := reg.CounterVec("eewa_sim_steal_attempts_total", "", "victim_group")
+	attempts := 0.0
+	for g := range cfg.Freqs {
+		attempts += attemptVec.With(strconv.Itoa(g)).Value()
+	}
+	if want := res.Probes - tasks - cfg.Cores*len(res.BatchTimes); attempts != float64(want) {
+		t.Errorf("steal attempts sum to %g, want probes − tasks − cores·batches = %d", attempts, want)
 	}
 }
 

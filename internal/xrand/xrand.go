@@ -40,17 +40,22 @@ func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: Intn with non-positive n")
 	}
-	// Lemire's multiply-shift rejection-free variant is overkill at this
-	// scale; simple modulo bias is < 2^-40 for the n values used here,
-	// but we keep the rejection loop anyway for correctness.
 	bound := uint64(n)
-	threshold := -bound % bound
 	for {
-		v := r.Uint64()
-		if v >= threshold {
+		if v := r.Uint64(); accepts(v, bound) {
 			return int(v % bound)
 		}
 	}
+}
+
+// accepts reports whether Intn keeps draw v for bound. Draws below the
+// threshold 2^64 mod bound are redrawn, so the accepted range is a
+// whole number of bound-sized blocks and v % bound is uniform. The
+// threshold is always below bound, so a draw ≥ bound is accepted
+// without computing it: the division runs only for the rare draw below
+// bound, and the outcome is the same as always computing it.
+func accepts(v, bound uint64) bool {
+	return v >= bound || v >= -bound%bound
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -178,5 +183,17 @@ func (r *RNG) PermInto(p []int) {
 	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
+	}
+}
+
+// SkipPerm advances r exactly as PermInto does for a slice of length n
+// — the same draws, including Intn's rare rejections — without building
+// the permutation or reducing the draws. A caller that would discard a
+// permutation unread (a victim walk over pools known to be empty) skips
+// it and keeps its stream in step with one that built it.
+func (r *RNG) SkipPerm(n int) {
+	for bound := uint64(n); bound > 1; bound-- {
+		for !accepts(r.Uint64(), bound) { // redraw, as Intn(bound) does
+		}
 	}
 }

@@ -307,3 +307,115 @@ func TestNormPosDegenerate(t *testing.T) {
 		t.Fatalf("negative-mean fallback returned %g", v)
 	}
 }
+
+// refIntn is Intn's historical formula: compute the rejection threshold
+// 2^64 mod n on every call, then reject draws below it.
+func refIntn(r *RNG, n int) int {
+	bound := uint64(n)
+	threshold := -bound % bound
+	for {
+		v := r.Uint64()
+		if v >= threshold {
+			return int(v % bound)
+		}
+	}
+}
+
+// unmix inverts the splitmix64 output finalizer.
+func unmix(z uint64) uint64 {
+	inv := func(a uint64) uint64 { // a·x ≡ 1 mod 2^64, Newton's iteration
+		x := a
+		for i := 0; i < 6; i++ {
+			x *= 2 - a*x
+		}
+		return x
+	}
+	z ^= z>>31 ^ z>>62
+	z *= inv(0x94D049BB133111EB)
+	z ^= z>>27 ^ z>>54
+	z *= inv(0xBF58476D1CE4E5B9)
+	z ^= z>>30 ^ z>>60
+	return z
+}
+
+// planted returns a generator whose next draw is v, so a test can
+// force Intn's rejection branch at small bounds, where it is otherwise
+// unreachable.
+func planted(v uint64) *RNG {
+	return &RNG{state: unmix(v) - 0x9E3779B97F4A7C15}
+}
+
+func TestPlantedDraw(t *testing.T) {
+	for _, v := range []uint64{0, 1, 2, 12345, math.MaxUint64} {
+		if got := planted(v).Uint64(); got != v {
+			t.Fatalf("planted(%d) drew %d", v, got)
+		}
+	}
+}
+
+// TestIntnMatchesReference pins Intn's stream: the same values and the
+// same number of draws as the historical formula for every bound,
+// including bounds where rejection is common (n = 3<<61 has threshold
+// 2^62, so a quarter of draws are redrawn; n = 1<<62+1 takes the slow
+// comparison on a quarter of draws) and planted draws that hit the
+// rejection branch at small bounds.
+func TestIntnMatchesReference(t *testing.T) {
+	bounds := []int{1, 2, 3, 5, 6, 7, 10, 16, 17, 64, 100, 1000, 1<<31 - 1,
+		3 << 61, 1<<62 + 1, 5 << 60, math.MaxInt64, math.MaxInt64 - 2}
+	rejected := 0
+	for seed := uint64(0); seed < 200; seed++ {
+		a, b := New(seed), New(seed)
+		for _, n := range bounds {
+			for i := 0; i < 50; i++ {
+				before := a.state
+				if got, want := a.Intn(n), refIntn(b, n); got != want {
+					t.Fatalf("seed %d n %d draw %d: Intn = %d, reference = %d", seed, n, i, got, want)
+				}
+				if a.state != b.state {
+					t.Fatalf("seed %d n %d draw %d: Intn consumed a different number of draws", seed, n, i)
+				}
+				if a.state != before+0x9E3779B97F4A7C15 {
+					rejected++
+				}
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Error("no draw was ever rejected: the rejection branch went unexercised")
+	}
+	for n := 1; n <= 70; n++ {
+		for _, v := range []uint64{0, 1, 2, uint64(n) - 1, uint64(n)} {
+			a, b := planted(v), planted(v)
+			if got, want := a.Intn(n), refIntn(b, n); got != want || a.state != b.state {
+				t.Fatalf("planted %d, n %d: Intn = %d, reference = %d (states equal: %v)",
+					v, n, got, want, a.state == b.state)
+			}
+		}
+	}
+}
+
+// TestSkipPermMatchesPermInto pins the skip contract the victim walk
+// relies on: SkipPerm(n) leaves the generator exactly where PermInto
+// of an n-slice does, for ordinary seeds and for planted draws that
+// force a rejection on the first (largest) bound.
+func TestSkipPermMatchesPermInto(t *testing.T) {
+	buf := make([]int, 70)
+	check := func(label string, a, b *RNG, n int) {
+		t.Helper()
+		a.PermInto(buf[:n])
+		b.SkipPerm(n)
+		if a.state != b.state {
+			t.Fatalf("%s n %d: SkipPerm left the generator in a different state", label, n)
+		}
+	}
+	for seed := uint64(0); seed < 500; seed++ {
+		for n := 0; n <= 70; n++ {
+			check("seed", New(seed*0x9E3779B97F4A7C15+uint64(n)), New(seed*0x9E3779B97F4A7C15+uint64(n)), n)
+		}
+	}
+	for n := 0; n <= 70; n++ {
+		for _, v := range []uint64{0, 1, 3} {
+			check("planted", planted(v), planted(v), n)
+		}
+	}
+}
